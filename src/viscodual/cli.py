@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 validation or check failure, 2 usage error,
-3 numeric failure.  Diagnostics go to standard error.
+3 numeric failure (including a singular or non-converging linear-algebra
+step).  Diagnostics go to standard error.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from .matio import (
     serialize_material,
 )
 from .verify import (
+    CheckEntry,
+    CheckReport,
     StrainHistory,
     check_limit_identities,
     check_wellformed,
@@ -124,22 +127,20 @@ def _cmd_check(args):
         entries += list(check_wellformed(other).entries)
         scalar = isinstance(relax, ScalarRelaxation)
         tol = args.tol if args.tol is not None else (1e-9 if scalar else 1e-7)
-        residual = duality_residual(relax, creep)
-        from .verify import CheckEntry
+        residual = float(duality_residual(relax, creep))
         entries.append(CheckEntry("duality-residual", residual <= tol,
-                                  float(residual), tol))
+                                  residual, tol))
         entries += list(check_limit_identities(relax, creep).entries)
-    ok = all(e.passed for e in entries)
+    report = CheckReport(tuple(entries))
     if args.format == "json":
-        payload = {e.name: {"passed": e.passed, "residual": e.residual,
-                            "tolerance": e.tolerance} for e in entries}
-        print(json.dumps({"ok": ok, "checks": payload}, indent=2))
+        print(json.dumps({"ok": report.ok, "checks": report.as_dict()},
+                         indent=2))
     else:
-        for e in entries:
+        for e in report.entries:
             status = "PASS" if e.passed else "FAIL"
             print(f"{status} {e.name} residual={e.residual:.3e} "
                   f"tol={e.tolerance:.1e}")
-    return 0 if ok else 1
+    return 0 if report.ok else 1
 
 
 def _orient_pair(first, second):
@@ -271,7 +272,8 @@ def run(argv=None):
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericsError as exc:
+    except (NumericsError, np.linalg.LinAlgError) as exc:
+        # LinAlgError subclasses ValueError, so it is caught before it
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except (MaterialFormatError, InvalidKernel, ValueError) as exc:

@@ -54,24 +54,28 @@ UNBOUNDED = Unbounded()
 # ---------------------------------------------------------------------------
 
 def symmetric6(m, tol=TOL_SYM):
-    """Validate a 6x6 symmetric matrix and return it exactly symmetric.
+    """Validate a 6x6 symmetric matrix, or a stack of them, and return it
+    exactly symmetric.
 
     The result is rebuilt from the upper triangle, so symmetry holds to the
-    last bit.  Asymmetry beyond ``tol`` (relative to the matrix scale) is an
-    error.  The returned array is read-only.
+    last bit.  Asymmetry beyond ``tol`` (relative to each matrix's scale) is
+    an error.  The returned array is read-only.
     """
     a = np.asarray(m, dtype=float)
-    if a.shape != (6, 6):
+    if a.ndim not in (2, 3) or a.shape[-2:] != (6, 6):
         raise InvalidKernel(f"expected a 6x6 matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise InvalidKernel("matrix entries must be finite")
-    scale = float(np.max(np.abs(a)))
-    if scale > 0.0:
-        mismatch = float(np.max(np.abs(a - a.T)))
-        if mismatch > tol * scale:
+    if tol < np.inf:
+        scale = np.max(np.abs(a), axis=(-2, -1), initial=0.0)
+        mismatch = np.max(np.abs(a - np.swapaxes(a, -1, -2)),
+                          axis=(-2, -1), initial=0.0)
+        bad = np.flatnonzero(mismatch > tol * scale)
+        if bad.size:
             raise InvalidKernel(
-                f"matrix asymmetry {mismatch:.3e} exceeds {tol:.1e} * scale")
-    out = np.triu(a) + np.triu(a, 1).T
+                f"matrix asymmetry {mismatch.flat[bad[0]]:.3e} exceeds "
+                f"{tol:.1e} * scale")
+    out = np.triu(a) + np.swapaxes(np.triu(a, 1), -1, -2)
     out.setflags(write=False)
     return out
 
@@ -95,16 +99,21 @@ def is_pd(m, tol=TOL_PSD):
 
 
 def psd_clip(m):
-    """Clip negative eigenvalues to zero.
+    """Clip negative eigenvalues to zero, for one matrix or a stack.
 
     Returns ``(clipped, min_eig)`` where ``min_eig`` is the smallest
-    eigenvalue before clipping; the caller decides whether it was tolerable.
+    eigenvalue before clipping (one per matrix for a stack); the caller
+    decides whether it was tolerable.
     """
-    w, v = np.linalg.eigh(np.asarray(m, dtype=float))
-    if w[0] >= 0.0:
-        return symmetric6(m), float(w[0])
-    clipped = (v * np.clip(w, 0.0, None)) @ v.T
-    return symmetric6(clipped, tol=np.inf), float(w[0])
+    m = np.asarray(m, dtype=float)
+    w, v = np.linalg.eigh(m)
+    low = w[..., 0]
+    negative = low < 0.0
+    if np.any(negative):
+        clipped = ((v * np.clip(w, 0.0, None)[..., None, :])
+                   @ np.swapaxes(v, -1, -2))
+        m = np.where(negative[..., None, None], clipped, m)
+    return symmetric6(m), (float(low) if low.ndim == 0 else low)
 
 
 def _frozen(a):
@@ -117,38 +126,49 @@ def _frozen(a):
 # Canonicalization
 # ---------------------------------------------------------------------------
 
-def _canonical_modes(modes, scale, is_matrix):
-    """Sort by rate, merge near-coincident rates, drop negligible weights."""
-    entries = []
-    for rate, weight in modes:
-        rate = float(rate)
-        if not np.isfinite(rate) or rate <= 0.0:
-            raise InvalidKernel("rate must be positive")
-        if is_matrix:
-            weight = symmetric6(weight)
-            if not is_psd(weight):
-                raise InvalidKernel(
-                    f"mode weight at rate {rate} is not positive semidefinite")
-        else:
-            weight = float(weight)
-            if not np.isfinite(weight) or weight < 0.0:
-                raise InvalidKernel("mode weight must be nonnegative")
-        entries.append((rate, weight))
-    entries.sort(key=lambda e: e[0])
-    if entries:
-        merge_gap = TOL_MERGE * entries[-1][0]
-        merged = [list(entries[0])]
-        for rate, weight in entries[1:]:
-            if rate - merged[-1][0] <= merge_gap:
-                merged[-1][1] = merged[-1][1] + weight
+def _checked_rate(rate):
+    rate = float(rate)
+    if not np.isfinite(rate) or rate <= 0.0:
+        raise InvalidKernel("rate must be positive")
+    return rate
+
+
+def _canonical_modes(rates, weights, sizes, scale, measure):
+    """Sort by rate, merge near-coincident rates, drop negligible weights.
+
+    ``sizes[i]`` is ``measure(weights[i])``, computed by the caller; only a
+    merged weight is measured again.
+    """
+    order = sorted(range(len(rates)), key=rates.__getitem__)
+    groups = []
+    if order:
+        merge_gap = TOL_MERGE * rates[order[-1]]
+        for i in order:
+            if groups and rates[i] - rates[groups[-1][0]] <= merge_gap:
+                groups[-1].append(i)
             else:
-                merged.append([rate, weight])
-        entries = merged
-    size = (lambda w: matrix_norm(w)) if is_matrix else abs
-    kept = [(r, w) for r, w in entries if size(w) > TOL_DROP * scale]
-    if is_matrix:
-        return tuple((r, _frozen(w)) for r, w in kept)
-    return tuple((r, w) for r, w in kept)
+                groups.append([i])
+    kept = []
+    for group in groups:
+        weight, size = weights[group[0]], sizes[group[0]]
+        if len(group) > 1:
+            for i in group[1:]:
+                weight = weight + weights[i]
+            size = measure(weight)
+        if size > TOL_DROP * scale:
+            kept.append((rates[group[0]], weight))
+    return tuple(kept)
+
+
+def _scalar_modes(modes, scale):
+    rates, weights = [], []
+    for rate, weight in modes:
+        rates.append(_checked_rate(rate))
+        weight = float(weight)
+        if not np.isfinite(weight) or weight < 0.0:
+            raise InvalidKernel("mode weight must be nonnegative")
+        weights.append(weight)
+    return _canonical_modes(rates, weights, weights, scale, abs)
 
 
 def _check_scalar_coef(value, name):
@@ -158,11 +178,38 @@ def _check_scalar_coef(value, name):
     return value
 
 
-def _check_matrix_coef(value, name):
-    m = symmetric6(value if value is not None else np.zeros((6, 6)))
-    if not is_psd(m):
-        raise InvalidKernel(f"{name} must be positive semidefinite")
-    return _frozen(m)
+def _matrix_parts(first, second, names, modes, kind):
+    """Validated coefficients and canonical modes of a 6x6 kernel.
+
+    The two coefficients and the mode weights are checked as one stack: one
+    batched spectral norm and one batched eigenvalue call give every
+    positive-semidefiniteness test, the kernel scale and the drop test of
+    each mode that is not merged.
+    """
+    coefs = [np.zeros((6, 6)) if m is None else np.asarray(m, dtype=float)
+             for m in (first, second)]
+    matrices = coefs + [np.asarray(w, dtype=float) for _, w in modes]
+    for m in matrices:
+        if m.shape != (6, 6):
+            raise InvalidKernel(f"expected a 6x6 matrix, got shape {m.shape}")
+    stack = symmetric6(np.array(matrices))
+    norms = np.linalg.norm(stack, 2, axis=(1, 2))
+    lowest = np.linalg.eigvalsh(stack)[:, 0]
+    not_psd = (norms > 0.0) & (lowest < -TOL_PSD * norms)
+    for name, bad in zip(names, not_psd):
+        if bad:
+            raise InvalidKernel(f"{name} must be positive semidefinite")
+    scale = float(np.sum(norms))
+    if scale <= 0.0:
+        raise InvalidKernel(f"{kind} kernel is identically zero")
+    rates = [_checked_rate(r) for r, _ in modes]
+    bad = np.flatnonzero(not_psd[2:])
+    if bad.size:
+        raise InvalidKernel(f"mode weight at rate {rates[bad[0]]} is not "
+                            "positive semidefinite")
+    canon = _canonical_modes(rates, stack[2:], norms[2:], scale, matrix_norm)
+    return (_frozen(stack[0]), _frozen(stack[1]),
+            tuple((r, _frozen(w)) for r, w in canon))
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +235,7 @@ class ScalarRelaxation:
         scale = a + sum(float(w) for _, w in modes) + beta
         if scale <= 0.0:
             raise InvalidKernel("relaxation kernel is identically zero")
-        canon = _canonical_modes(modes, scale, is_matrix=False)
-        return cls(beta, a, canon)
+        return cls(beta, a, _scalar_modes(modes, scale))
 
     @property
     def rates(self):
@@ -231,8 +277,7 @@ class ScalarCreep:
         scale = a + b + sum(float(w) for _, w in modes)
         if scale <= 0.0:
             raise InvalidKernel("creep kernel is identically zero")
-        canon = _canonical_modes(modes, scale, is_matrix=False)
-        return cls(a, b, canon)
+        return cls(a, b, _scalar_modes(modes, scale))
 
     @property
     def rates(self):
@@ -264,19 +309,10 @@ class MatrixRelaxation:
     modes: tuple
 
     @classmethod
-    def make(cls, newtonian=None, equilibrium=None, modes=(), strict=False):
-        n = _check_matrix_coef(newtonian, "newtonian matrix")
-        b = _check_matrix_coef(equilibrium, "equilibrium matrix")
-        scale = matrix_norm(n) + matrix_norm(b)
-        scale += sum(matrix_norm(np.asarray(w, dtype=float)) for _, w in modes)
-        if scale <= 0.0:
-            raise InvalidKernel("relaxation kernel is identically zero")
-        canon = _canonical_modes(modes, scale, is_matrix=True)
-        out = cls(n, b, canon)
-        if strict and not out.satisfies_positivity():
-            raise InvalidKernel(
-                "condition (*) fails: N + B + sum G_k is not positive definite")
-        return out
+    def make(cls, newtonian=None, equilibrium=None, modes=()):
+        return cls(*_matrix_parts(
+            newtonian, equilibrium,
+            ("newtonian matrix", "equilibrium matrix"), modes, "relaxation"))
 
     def satisfies_positivity(self):
         """Condition (*): N + B + sum G_k positive definite."""
@@ -313,14 +349,9 @@ class MatrixCreep:
 
     @classmethod
     def make(cls, instantaneous=None, fluidity=None, modes=()):
-        a = _check_matrix_coef(instantaneous, "instantaneous matrix")
-        d = _check_matrix_coef(fluidity, "fluidity matrix")
-        scale = matrix_norm(a) + matrix_norm(d)
-        scale += sum(matrix_norm(np.asarray(w, dtype=float)) for _, w in modes)
-        if scale <= 0.0:
-            raise InvalidKernel("creep kernel is identically zero")
-        canon = _canonical_modes(modes, scale, is_matrix=True)
-        return cls(a, d, canon)
+        return cls(*_matrix_parts(
+            instantaneous, fluidity,
+            ("instantaneous matrix", "fluidity matrix"), modes, "creep"))
 
     def satisfies_positivity(self):
         """Condition (**): A + D + sum H_j positive definite."""

@@ -11,7 +11,7 @@ extracts residues through a nullspace formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -36,10 +36,6 @@ TOL_CROSSCHECK = 1e-5       # relative mismatch allowed between the two A-evalua
 
 class BracketError(NumericsError):
     """A guaranteed sign-change bracket failed; input is numerically degenerate."""
-
-
-class DefectivePencilError(NumericsError):
-    """A repeated pencil eigenvalue is not semisimple."""
 
 
 # ---------------------------------------------------------------------------
@@ -280,35 +276,54 @@ def stieltjes_partial_fractions(numerator, denominator, roots):
 
 @dataclass(frozen=True, eq=False)
 class CbfImage:
-    """``U(p) = p X + Y + sum_k Z_k p/(p + t_k)`` with PSD 6x6 data."""
+    """``U(p) = p X + Y + sum_k Z_k p/(p + t_k)`` with PSD 6x6 data.
+
+    The modes are stacked: ``rates`` is ``(K,)`` and ``weights`` is
+    ``(K, 6, 6)``.  ``norms`` holds the spectral norms of ``X``, ``Y`` and
+    every ``Z_k``, computed once at construction in one batched call.
+    ``U``, ``U'`` and :meth:`magnitude` are array expressions over the
+    modes; they take a scalar or a vector of points, and a vector of ``n``
+    points gives an ``(n, 6, 6)`` stack (``(n,)`` for the magnitude).
+    """
 
     dirac: np.ndarray
     constant: np.ndarray
-    modes: tuple
+    rates: np.ndarray
+    weights: np.ndarray
+    norms: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        stack = np.concatenate([[self.dirac, self.constant], self.weights])
+        object.__setattr__(self, "norms",
+                           np.linalg.norm(stack, 2, axis=(1, 2)))
+
+    def _mode_sum(self, factors):
+        """``sum_k factors[..., k] Z_k``."""
+        flat = factors @ self.weights.reshape(len(self.rates), 36)
+        return flat.reshape(factors.shape[:-1] + (6, 6))
 
     def __call__(self, p):
-        out = p * self.dirac + self.constant
-        for t, z in self.modes:
-            out = out + (p / (p + t)) * np.asarray(z)
-        return out
+        p = np.asarray(p)
+        pk = p[..., None]
+        return (p[..., None, None] * self.dirac + self.constant
+                + self._mode_sum(pk / (pk + self.rates)))
 
     def derivative(self, p):
-        out = np.array(self.dirac)
-        for t, z in self.modes:
-            out += (t / (p + t) ** 2) * np.asarray(z)
-        return out
+        pk = np.asarray(p)[..., None]
+        return self.dirac + self._mode_sum(self.rates / (pk + self.rates) ** 2)
 
     def magnitude(self, s):
         """Size of the terms entering ``U(-s)``; reference for 'numerically zero'."""
-        out = matrix_norm(self.dirac) * s + matrix_norm(self.constant)
-        for t, z in self.modes:
-            out += matrix_norm(z) * abs(s / (t - s)) if t != s else \
-                matrix_norm(z)
-        return max(out, 1e-300)
+        s = np.asarray(s, dtype=float)
+        sk = s[..., None]
+        gap = np.abs(self.rates - sk)
+        ratio = np.abs(sk) / np.where(gap > 0.0, gap, sk)   # 1 on a rate
+        out = self.norms[0] * s + self.norms[1] + ratio @ self.norms[2:]
+        return np.maximum(out, 1e-300)
 
     @property
     def rate_scale(self):
-        return max((t for t, _ in self.modes), default=1.0)
+        return float(self.rates.max()) if self.rates.size else 1.0
 
 
 def cbf_image(kernel):
@@ -316,21 +331,16 @@ def cbf_image(kernel):
     # local import keeps the module dependency one-way at load time
     from .kernels import CREEP_KINDS, RELAXATION_KINDS
     if isinstance(kernel, RELAXATION_KINDS):
-        return CbfImage(np.asarray(kernel.newtonian, dtype=float),
-                        np.asarray(kernel.equilibrium, dtype=float),
-                        kernel.modes)
-    if isinstance(kernel, CREEP_KINDS):
-        return CbfImage(np.asarray(kernel.instantaneous, dtype=float),
-                        np.asarray(kernel.fluidity, dtype=float),
-                        kernel.modes)
-    raise TypeError(f"not a kernel: {type(kernel).__name__}")
-
-
-def _psd_factor(m):
-    """``L`` with ``L L^T = m`` and full column rank, via eigendecomposition."""
-    w, v = np.linalg.eigh(np.asarray(m, dtype=float))
-    keep = w > 1e-14 * max(w[-1], 1e-300)
-    return v[:, keep] * np.sqrt(w[keep])
+        dirac, constant = kernel.newtonian, kernel.equilibrium
+    elif isinstance(kernel, CREEP_KINDS):
+        dirac, constant = kernel.instantaneous, kernel.fluidity
+    else:
+        raise TypeError(f"not a kernel: {type(kernel).__name__}")
+    return CbfImage(np.asarray(dirac, dtype=float),
+                    np.asarray(constant, dtype=float),
+                    np.array([r for r, _ in kernel.modes], dtype=float),
+                    np.array([w for _, w in kernel.modes],
+                             dtype=float).reshape(-1, 6, 6))
 
 
 def image_pencil_roots(image):
@@ -342,112 +352,112 @@ def image_pencil_roots(image):
         [Y + sum Z,  -sqrt(t) L] [v]       [-X   ] [v]
         [-sqrt(t) L^T,   t I   ] [w]  = p  [   -I] [w]
 
-    whose entries stay at the scale of the data.  Finite eigenvalues with
-    negative real part are the candidate poles; splinters of the semisimple
-    zero eigenvalue (present when ``Y`` is singular) are removed.  Each
-    cluster is confirmed against ``U(-s)`` itself: a cluster where ``U(-s)``
-    stays regular is a pencil artifact, not a pole of the inverse, and is
-    dropped.  Genuine poles may lie arbitrarily close to the source rates
-    when a mode weight is nearly singular, so no distance-to-rate filtering
-    is applied.
+    whose entries stay at the scale of the data.  The factors ``L_k`` of
+    all modes come from one batched eigendecomposition of the weight
+    stack.  Finite eigenvalues with negative real part are the candidate
+    poles; splinters of the semisimple zero eigenvalue (present when ``Y``
+    is singular) are removed.  All candidates are polished together (see
+    :func:`_refine_roots`), then each cluster is confirmed against
+    ``U(-s)`` itself: a cluster where ``U(-s)`` stays regular is a pencil
+    artifact, not a pole of the inverse, and is dropped.  Genuine poles may
+    lie arbitrarily close to the source rates when a mode weight is nearly
+    singular, so no distance-to-rate filtering is applied.
     """
-    factors = [(t, _psd_factor(z)) for t, z in image.modes]
-    total = np.array(image.constant)
-    for _, z in image.modes:
-        total += z
-    dim = 6 + sum(f.shape[1] for _, f in factors)
+    # Z_k = L_k L_k^T with L_k the eigenvectors of Z_k above its rank floor,
+    # scaled by the root of their eigenvalue.
+    w, v = np.linalg.eigh(image.weights)
+    keep = w > 1e-14 * np.maximum(w[:, -1:], 1e-300)
+    factors = v * np.sqrt(np.where(keep, w, 0.0))[:, None, :]
+    blocks = np.sqrt(image.rates)[:, None, None] * factors
+    block = blocks.transpose(1, 0, 2).reshape(6, -1)[:, keep.ravel()]
+    block_rates = np.repeat(image.rates, keep.sum(axis=1))
+    dim = 6 + block_rates.size
     mm = np.zeros((dim, dim))
     ww = np.zeros((dim, dim))
-    mm[:6, :6] = total
+    mm[:6, :6] = image.constant + image.weights.sum(axis=0)
+    mm[:6, 6:] = -block
+    mm[6:, :6] = -block.T
+    mm[6:, 6:] = np.diag(block_rates)
     ww[:6, :6] = -image.dirac
-    col = 6
-    for t, f in factors:
-        r = f.shape[1]
-        block = np.sqrt(t) * f
-        mm[:6, col:col + r] = -block
-        mm[col:col + r, :6] = -block.T
-        mm[col:col + r, col:col + r] = t * np.eye(r)
-        ww[col:col + r, col:col + r] = -np.eye(r)
-        col += r
+    ww[6:, 6:] = -np.eye(dim - 6)
 
     rate_scale = image.rate_scale
     eigvals = scipy.linalg.eigvals(mm, ww)
     eigvals = eigvals[np.isfinite(eigvals)]
     eigvals = eigvals[np.abs(eigvals) <= 1e12 * rate_scale]
-    candidates = []
-    for lam in eigvals:
-        if lam.real >= 0.0:
-            continue
-        s = -lam.real
-        if abs(lam.imag) > TOL_IMAG * max(abs(lam), rate_scale):
-            raise NumericsError(
-                f"pencil eigenvalue {lam:.6g} is not real within tolerance")
-        if s <= 1e-9 * rate_scale:
-            continue   # splinter of the zero eigenvalue (singular Y)
-        candidates.append(s)
+    eigvals = eigvals[eigvals.real < 0.0]
+    complex_ = np.abs(eigvals.imag) > TOL_IMAG * np.maximum(
+        np.abs(eigvals), rate_scale)
+    if np.any(complex_):
+        raise NumericsError(f"pencil eigenvalue {eigvals[complex_][0]:.6g} "
+                            "is not real within tolerance")
+    candidates = -eigvals.real
+    # splinters of the zero eigenvalue (singular Y)
+    candidates = candidates[candidates > 1e-9 * rate_scale]
 
     # Polish every candidate before clustering: splinters of a multiple
     # eigenvalue then collapse onto the same refined value, while genuinely
     # distinct poles that happen to lie close stay apart.
-    candidates = sorted(_refine_root(image, s) for s in candidates)
+    candidates = np.sort(_refine_roots(image, candidates))
+    if not candidates.size:
+        return []
+    starts = np.flatnonzero(np.concatenate(
+        [[True], np.diff(candidates) > TOL_CLUSTER * candidates[1:]]))
+    sizes = np.diff(np.append(starts, candidates.size))
+    means = np.add.reduceat(candidates, starts) / sizes
 
-    clusters = []
-    for s in candidates:
-        if clusters and s - clusters[-1][-1] <= TOL_CLUSTER * s:
-            clusters[-1].append(s)
-        else:
-            clusters.append([s])
-
-    out = []
-    for group in clusters:
-        s = float(np.mean(group))
-        try:
-            basis = _image_nullspace(image, s, len(group))
-        except DefectivePencilError:
-            continue   # regular point of U: spurious pencil eigenvalue
-        out.append((s, basis))
-    return out
+    # an empty nullspace marks a regular point of U: a spurious pencil
+    # eigenvalue, not a pole
+    return [(float(s), basis) for s, basis
+            in zip(means, _image_nullspace(image, means)) if basis.shape[1]]
 
 
-def _refine_root(image, s):
-    """Newton-polish a det-root via the smallest singular pair.
+def _refine_roots(image, s):
+    """Newton-polish det-roots via the smallest singular pair, all at once.
 
     ``g(s) = u' U(-s) v`` with ``u, v`` the minimal singular vectors of
     ``U(-s)`` vanishes at the root; its derivative is ``-u' U'(-s) v``.
     This converges quadratically even on semisimple multiple eigenvalues,
-    where plain Newton on the determinant stalls.
+    where plain Newton on the determinant stalls.  Each iteration is one
+    batched SVD of the ``(n, 6, 6)`` stack of ``U(-s_i)``; a candidate stops
+    after three steps, at a zero slope, or before a step longer than a
+    tenth of itself.
     """
+    s = np.array(s, dtype=float)
+    active = np.arange(s.size)
     for _ in range(3):
-        u, _, vt = np.linalg.svd(image(-s))
-        uu, vv = u[:, -1], vt[-1, :]
-        slope = -float(uu @ image.derivative(-s) @ vv)
-        if slope == 0.0:
+        if not active.size:
             break
-        step = float(uu @ image(-s) @ vv) / slope
-        if abs(step) > 0.1 * s:
-            break
-        s = s - step
+        x = -s[active]
+        u_mat = image(x)
+        u, _, vt = np.linalg.svd(u_mat)
+        left, right = u[:, None, :, -1], vt[:, -1, :, None]
+        value = (left @ u_mat @ right)[:, 0, 0]
+        slope = -(left @ image.derivative(x) @ right)[:, 0, 0]
+        moving = slope != 0.0
+        step = np.zeros_like(value)
+        step[moving] = value[moving] / slope[moving]
+        moving &= np.abs(step) <= 0.1 * s[active]
+        s[active[moving]] -= step[moving]
+        active = active[moving]
     return s
 
 
-def _image_nullspace(image, s, multiplicity):
-    """Orthonormal near-nullspace of ``U(-s)``.
+def _image_nullspace(image, s):
+    """Orthonormal near-nullspaces of ``U(-s_i)``, one basis per point.
 
-    An empty nullspace means ``-s`` is a regular point and the eigenvalue
-    cluster is a pencil artifact.  A nullspace thinner than the cluster but
-    nonempty is accepted: the surplus members are artifacts that happened to
-    polish onto a genuine root, and the nullspace dimension is authoritative
-    (``U'`` is positive semidefinite on the negative axis, so true poles are
-    always semisimple).
+    One batched SVD covers every point.  An empty basis means ``-s_i`` is a
+    regular point and the eigenvalue cluster there is a pencil artifact.  A
+    nullspace thinner than the cluster but nonempty is accepted: the surplus
+    members are artifacts that happened to polish onto a genuine root, and
+    the nullspace dimension is authoritative (``U'`` is positive
+    semidefinite on the negative axis, so true poles are always semisimple).
     """
+    s = np.asarray(s, dtype=float)
     _, sv, vt = np.linalg.svd(image(-s))
     cutoff = TOL_NULLSPACE * image.magnitude(s)
-    dimension = int(np.sum(sv <= cutoff))
-    if dimension == 0:
-        raise DefectivePencilError(
-            f"eigenvalue cluster of size {multiplicity} at {s:.6g}: "
-            f"U(-s) is regular there")
-    return vt[6 - dimension:].T
+    dimensions = np.sum(sv <= cutoff[:, None], axis=1)
+    return [v[6 - d:].T for v, d in zip(vt, dimensions)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -461,21 +471,50 @@ class MatrixStieltjesParts:
                             # clipping, relative to the decomposition scale
 
 
-def _image_residue(image, s, basis):
-    """Residue of ``U^-1`` at ``p = -s`` through the nullspace of ``U(-s)``."""
-    gram = basis.T @ image.derivative(-s) @ basis
-    core = basis @ np.linalg.solve(gram, basis.T)
-    return 0.5 * (core + core.T)
+def _nullspace_residues(bases, slopes):
+    """Residues of ``U^-1`` from the nullspace bases ``B`` of its poles.
+
+    Each is ``B (B' U' B)^-1 B'``.  ``slopes`` stacks ``U'`` at the roots;
+    bases of equal width share one batched solve.
+    """
+    out = np.zeros((len(bases), 6, 6))
+    widths = np.array([b.shape[1] for b in bases], dtype=int)
+    for width in np.unique(widths):
+        index = np.flatnonzero(widths == width)
+        b = np.array([bases[i] for i in index])
+        bt = np.swapaxes(b, 1, 2)
+        core = b @ np.linalg.solve(bt @ slopes[index] @ b, bt)
+        out[index] = 0.5 * (core + np.swapaxes(core, 1, 2))
+    return out
+
+
+def _clip_residues(stack, scale):
+    """PSD-clip a stack of residues; indefinite beyond tolerance is an error.
+
+    Returns the clipped stack and its most negative eigenvalue before
+    clipping relative to ``scale`` (0 when none is negative).
+    """
+    clipped, low = psd_clip(stack)
+    low = np.atleast_1d(low)
+    bad = np.flatnonzero(low < -1e-6 * scale)
+    if bad.size:
+        raise NumericsError(
+            f"residue matrix indefinite beyond tolerance "
+            f"(eigmin {low[bad[0]]:.3e}, scale {scale:.3e})")
+    return clipped, float(np.min(low, initial=0.0)) / scale
 
 
 def decompose_inverse(image, eigs=None):
     """Stieltjes decomposition of ``U(p)^-1``.
 
     The pole-at-zero mass comes from the nullspace of ``U(0) = Y``; mode
-    weights from the nullspace residue formula; the constant either exactly
-    zero (when the Dirac block is positive definite, so ``U^-1`` decays) or
-    by evaluating ``U^-1`` beyond the largest pole and subtracting the
-    recovered parts, cross-validated at a second point.
+    weights from the nullspace residue formula, with ``U'`` at every pole
+    evaluated as one stack; the constant either exactly zero (when the
+    Dirac block is positive definite, so ``U^-1`` decays) or by evaluating
+    ``U^-1`` beyond the largest pole and subtracting the recovered parts,
+    cross-validated at a second point.  The residue norms (one batched call)
+    set the decomposition scale and the cancellation test, and the kept
+    residues are clipped as one stack.
     """
     if eigs is None:
         eigs = image_pencil_roots(image)
@@ -484,65 +523,55 @@ def decompose_inverse(image, eigs=None):
     # Classify it as a pole at zero exactly when that implied location falls
     # under the same threshold used to discard zero splinters in the pencil,
     # so no pole is ever counted both here and as a finite mode.
-    y = np.asarray(image.constant)
     delta = 1e-9 * image.rate_scale
-    w, v = np.linalg.eigh(y) if matrix_norm(y) > 0.0 else (np.zeros(6),
-                                                           np.eye(6))
+    w, v = np.linalg.eigh(image.constant) if image.norms[1] > 0.0 else (
+        np.zeros(6), np.eye(6))
     slope = image.derivative(0.0)
-    keep = [i for i in range(6)
-            if w[i] <= delta * float(v[:, i] @ slope @ v[:, i])]
-    null_y = v[:, keep]
-    if null_y.shape[1] > 0:
-        gram = null_y.T @ slope @ null_y
-        core = null_y @ np.linalg.solve(gram, null_y.T)
-        zero_mass = 0.5 * (core + core.T)
-    else:
-        zero_mass = np.zeros((6, 6))
+    null_y = v[:, w <= delta * np.sum(v * (slope @ v), axis=0)]
+    [zero_mass] = _nullspace_residues([null_y], slope[None])
 
-    raw_modes = [(s, _image_residue(image, s, basis)) for s, basis in eigs]
+    poles = np.array([s for s, _ in eigs], dtype=float)
+    raw = _nullspace_residues([basis for _, basis in eigs],
+                              image.derivative(-poles))
 
     def evaluate(p):
         return np.linalg.inv(image(p))
 
-    rate_max = max((s for s, _ in raw_modes), default=1.0)
-    p_star = 1.0 + 2.0 * rate_max
+    p_star = 1.0 + 2.0 * (poles.max() if poles.size else 1.0)
     probe = evaluate(p_star)
-    scale = max([matrix_norm(probe), matrix_norm(zero_mass)]
-                + [matrix_norm(w) for _, w in raw_modes])
-    diagnostics = [0.0]
+    norms = np.linalg.norm(np.concatenate([[probe, zero_mass], raw]), 2,
+                           axis=(1, 2))
+    scale = float(norms.max())
+    kept = norms[2:] > TOL_CANCEL * scale
+    clipped, worst = _clip_residues(
+        np.concatenate([[zero_mass], raw[kept]]), scale)
+    zero_mass = clipped[0]
+    modes = tuple(zip(poles[kept].tolist(), clipped[1:]))
 
-    def clipped(mat):
-        out, low = psd_clip(mat)
-        diagnostics[0] = min(diagnostics[0], low / scale)
-        if low < -1e-6 * scale:
-            raise NumericsError(
-                f"residue matrix indefinite beyond tolerance "
-                f"(eigmin {low:.3e}, scale {scale:.3e})")
-        return out
-
-    zero_mass = clipped(zero_mass)
-    modes = [(s, clipped(w)) for s, w in raw_modes
-             if matrix_norm(w) > TOL_CANCEL * scale]
-
-    x = np.asarray(image.dirac)
-    x_norm = matrix_norm(x)
-    if x_norm > 0.0 and float(np.linalg.eigvalsh(x)[0]) > TOL_PSD * x_norm:
-        # U ~ p X with X invertible, so U^-1 decays: no constant, exactly.
+    # U^-1 decays along the range of X, so the constant lives in the
+    # nullspace of X (none when X is positive definite).  Projecting the
+    # subtracted constant onto it removes the rounding left in the range of
+    # X, which the short-time identity X C(0) = 0 would magnify.
+    w, v = np.linalg.eigh(image.dirac)
+    null_x = v[:, w <= TOL_PSD * image.norms[0]]
+    if null_x.shape[1] == 0:
         constant = np.zeros((6, 6))
     else:
-        constant = clipped(_constant_by_subtraction(
-            evaluate, zero_mass, modes, p_star, probe, scale))
-    return MatrixStieltjesParts(constant, zero_mass, tuple(modes),
-                                diagnostics[0])
+        core = null_x.T @ _constant_by_subtraction(
+            evaluate, zero_mass, modes, p_star, probe, scale) @ null_x
+        constant, low = _clip_residues(
+            null_x @ (0.5 * (core + core.T)) @ null_x.T, scale)
+        worst = min(worst, low)
+    return MatrixStieltjesParts(constant, zero_mass, modes, worst)
 
 
 def _constant_by_subtraction(evaluate, zero_mass, modes, p_star, probe, scale):
+    rates = np.array([s for s, _ in modes])
+    weights = np.array([w for _, w in modes]).reshape(-1, 36)
+
     def tail(p, value):
-        out = np.array(value)
-        out -= zero_mass / p
-        for s, w in modes:
-            out -= np.asarray(w) / (p + s)
-        return out
+        return (value - zero_mass / p
+                - ((1.0 / (p + rates)) @ weights).reshape(6, 6))
 
     constant = tail(p_star, probe)
     p_check = 2.7 * p_star + 0.3

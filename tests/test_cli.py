@@ -3,10 +3,14 @@ import json
 import numpy as np
 import pytest
 
+import viscodual.cli
 from viscodual import (
     ScalarCreep,
     ScalarRelaxation,
+    check_limit_identities,
+    check_wellformed,
     dualize,
+    duality_residual,
     parse_material,
     serialize_material,
 )
@@ -62,6 +66,16 @@ class TestDualizeCommand:
                         ' "modes": [{"rate": -1.0, "weight": 1.0}]}')
         assert run(["dualize", str(path)]) == 1
 
+    def test_linear_algebra_failure_is_numeric_failure(self, solid_file,
+                                                        monkeypatch, capsys):
+        # LinAlgError subclasses ValueError but must not exit as validation
+        def singular(kernel):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(viscodual.cli, "dualize", singular)
+        assert run(["dualize", str(solid_file)]) == 3
+        assert "numeric failure" in capsys.readouterr().err
+
 
 class TestCheckCommand:
     def test_single_kernel_passes(self, solid_file, capsys):
@@ -102,6 +116,33 @@ class TestCheckCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
         assert "rates-positive" in payload["checks"]
+
+    @pytest.mark.parametrize("fixture", ["solid_file", "matrix_file"])
+    def test_json_pair_output_is_the_entry_table(self, fixture, tmp_path,
+                                                 capsys, request):
+        # byte for byte what the command printed when it assembled the
+        # table by hand from the same entries
+        path = request.getfixturevalue(fixture)
+        kernel = parse_material(path.read_text())
+        dual = dualize(kernel)
+        dual_path = tmp_path / "dual.json"
+        dual_path.write_text(serialize_material(dual))
+        assert run(["check", str(path), "--against", str(dual_path),
+                    "--format", "json"]) == 0
+        out = capsys.readouterr().out
+
+        tol = 1e-9 if isinstance(kernel, ScalarRelaxation) else 1e-7
+        residual = float(duality_residual(kernel, dual))
+        entries = [(e.name, e.passed, e.residual, e.tolerance) for e in (
+            check_wellformed(kernel).entries + check_wellformed(dual).entries)]
+        entries.append(("duality-residual", residual <= tol, residual, tol))
+        entries += [(e.name, e.passed, e.residual, e.tolerance)
+                    for e in check_limit_identities(kernel, dual).entries]
+        table = {name: {"passed": passed, "residual": value,
+                        "tolerance": limit}
+                 for name, passed, value, limit in entries}
+        ok = all(passed for _, passed, _, _ in entries)
+        assert out == json.dumps({"ok": ok, "checks": table}, indent=2) + "\n"
 
     def test_tol_option_can_force_failure(self, solid_file, tmp_path):
         k = parse_material(solid_file.read_text())

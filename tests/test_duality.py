@@ -10,6 +10,7 @@ from viscodual import (
     dualize,
     dualize_creep_to_relaxation,
     dualize_relaxation_to_creep,
+    duality_residual,
     laplace_times_p,
     symmetric6,
 )
@@ -166,6 +167,25 @@ class TestMatrixDuality:
             modes=[(1.0, random_gram(rng, 6))])
         c = dualize(r)
         assert np.all(np.asarray(c.instantaneous) == 0.0)
+
+    def test_singular_dirac_constant_stays_in_its_nullspace(self):
+        # with a singular Dirac part N the instantaneous compliance A of the
+        # dual satisfies N A = 0; the short-time duality residual, taken at
+        # t ~ 1e-3 / r_max, magnifies any leak of A into the range of N
+        rng = np.random.default_rng(40)
+        from kernel_corpus import random_gram
+        for _ in range(10):
+            rates = np.sort(10.0 ** rng.uniform(1.0, 4.0, size=6))
+            r = MatrixRelaxation.make(
+                newtonian=random_gram(rng, 2),
+                equilibrium=random_gram(rng, 6),
+                modes=[(t, random_gram(rng, int(rng.integers(1, 7))))
+                       for t in rates])
+            c = dualize(r)
+            n, a = np.asarray(r.newtonian), np.asarray(c.instantaneous)
+            assert np.linalg.norm(n @ a, 2) <= 1e-14 * (
+                np.linalg.norm(n, 2) * np.linalg.norm(a, 2))
+            assert duality_residual(r, c) <= 1e-7
 
     def test_dispatch_type_error(self):
         with pytest.raises(TypeError):

@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
 
+import viscodual
 from viscodual import (
     MatrixRelaxation,
+    NumericsError,
     ScalarCreep,
     ScalarRelaxation,
     laplace_times_p,
 )
 from viscodual.rational import (
+    TOL_CLUSTER,
+    TOL_NULLSPACE,
     BracketError,
     CbfImage,
-    DefectivePencilError,
     RealPolynomial,
+    _clip_residues,
     _image_nullspace,
+    _refine_roots,
     cbf_as_rational,
     cbf_image,
     decompose_inverse,
@@ -24,6 +29,7 @@ from viscodual.rational import (
 )
 
 from kernel_corpus import (
+    random_gram,
     random_matrix_creep,
     random_matrix_relaxation,
     random_scalar_creep,
@@ -210,6 +216,168 @@ class TestCbfImage:
                                    rtol=1e-7, atol=1e-7 * k.scale)
 
 
+class TestStackedImage:
+    """Vector arguments give the same values as one point at a time."""
+
+    def test_vector_evaluation_matches_pointwise(self):
+        rng = np.random.default_rng(32)
+        for make in [random_matrix_relaxation, random_matrix_creep] * 4:
+            image = cbf_image(make(rng))
+            assert isinstance(image, CbfImage)
+            assert image.weights.shape == (image.rates.size, 6, 6)
+            # both half-axes, off the poles of U
+            s = np.concatenate([10.0 ** rng.uniform(-2, 2, size=6),
+                                -10.0 ** rng.uniform(-2, 2, size=6)])
+            values, slopes = image(-s), image.derivative(-s)
+            assert values.shape == slopes.shape == (s.size, 6, 6)
+            for x, value, slope in zip(s, values, slopes):
+                np.testing.assert_allclose(
+                    value, image(-x), rtol=1e-12,
+                    atol=1e-14 * np.max(np.abs(value)))
+                np.testing.assert_allclose(
+                    slope, image.derivative(-x), rtol=1e-12,
+                    atol=1e-14 * np.max(np.abs(slope)))
+            # the magnitude is finite on a source rate too
+            s = np.append(s, image.rates)
+            sizes = image.magnitude(s)
+            assert sizes.shape == s.shape
+            for x, size in zip(s, sizes):
+                assert size == pytest.approx(image.magnitude(x), rel=1e-13)
+                assert size == pytest.approx(_reference_magnitude(image, x),
+                                             rel=1e-13)
+
+    def test_norms_are_spectral_norms_of_the_data(self):
+        rng = np.random.default_rng(33)
+        image = cbf_image(random_matrix_relaxation(rng))
+        expected = [np.linalg.norm(m, 2) for m in
+                    [image.dirac, image.constant, *image.weights]]
+        np.testing.assert_allclose(image.norms, expected, rtol=1e-14)
+
+
+def _reference_refine(image, s):
+    """Newton polish of one candidate, as one loop per candidate."""
+    for _ in range(3):
+        u, _, vt = np.linalg.svd(image(-s))
+        uu, vv = u[:, -1], vt[-1, :]
+        slope = -float(uu @ image.derivative(-s) @ vv)
+        if slope == 0.0:
+            break
+        step = float(uu @ image(-s) @ vv) / slope
+        if abs(step) > 0.1 * s:
+            break
+        s = s - step
+    return s
+
+
+def _reference_magnitude(image, s):
+    out = (np.linalg.norm(image.dirac, 2) * s
+           + np.linalg.norm(image.constant, 2))
+    for t, z in zip(image.rates, image.weights):
+        out += np.linalg.norm(z, 2) * (abs(s / (t - s)) if t != s else 1.0)
+    return max(out, 1e-300)
+
+
+def _reference_poles(image, candidates):
+    """Polish, cluster and nullspace test one point at a time."""
+    clusters = []
+    for s in sorted(_reference_refine(image, c) for c in candidates):
+        if clusters and s - clusters[-1][-1] <= TOL_CLUSTER * s:
+            clusters[-1].append(s)
+        else:
+            clusters.append([s])
+    out = []
+    for group in clusters:
+        s = float(np.mean(group))
+        sv = np.linalg.svd(image(-s), compute_uv=False)
+        cutoff = TOL_NULLSPACE * _reference_magnitude(image, s)
+        dimension = int(np.sum(sv <= cutoff))
+        if dimension:
+            out.append((s, dimension))
+    return out
+
+
+class TestBatchedRefinement:
+    """The batched polish against a loop-based reference."""
+
+    @staticmethod
+    def _compare(kernel, monkeypatch):
+        image = cbf_image(kernel)
+        seen = []
+
+        def recording(image, s):
+            seen.append(np.array(s))
+            return _refine_roots(image, s)
+
+        monkeypatch.setattr(viscodual.rational, "_refine_roots", recording)
+        got = image_pencil_roots(image)
+        reference = _reference_poles(image, seen[0])
+        assert len(got) == len(reference)
+        for (s, basis), (s_ref, dimension) in zip(got, reference):
+            assert s == pytest.approx(s_ref, rel=1e-12)
+            assert basis.shape == (6, dimension)
+        # the polish alone, candidate by candidate
+        polished = _refine_roots(image, seen[0])
+        for c, s in zip(seen[0], polished):
+            assert s == pytest.approx(_reference_refine(image, c), rel=1e-12)
+        return got
+
+    def test_random_kernels(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        for make in [random_matrix_relaxation, random_matrix_creep] * 5:
+            self._compare(make(rng), monkeypatch)
+
+    def test_rank_deficient_weights(self, monkeypatch):
+        rng = np.random.default_rng(35)
+        k = MatrixRelaxation.make(
+            equilibrium=np.eye(6),
+            modes=[(0.5, random_gram(rng, 2)), (2.0, random_gram(rng, 1)),
+                   (9.0, random_gram(rng, 3))])
+        self._compare(k, monkeypatch)
+        # a threefold pole from one rank-3 weight on a scalar background
+        k = MatrixRelaxation.make(
+            equilibrium=np.eye(6),
+            modes=[(2.0, np.diag([1.0, 1, 1, 0, 0, 0]))])
+        [(_, basis)] = self._compare(k, monkeypatch)
+        assert basis.shape == (6, 3)
+
+    def test_near_singular_weight(self, monkeypatch):
+        k = MatrixRelaxation.make(
+            equilibrium=np.eye(6),
+            modes=[(2.0, np.diag([1.0, 1, 1, 1, 1, 1e-6]))])
+        roots = self._compare(k, monkeypatch)
+        assert any(abs(s - 2.0) < 1e-3 for s, _ in roots)
+
+    def test_stop_rules(self):
+        # far from any root the first Newton step is longer than s/10,
+        # so the candidate is returned unchanged, as the loop does
+        image = cbf_image(MatrixRelaxation.make(
+            equilibrium=np.eye(6), modes=[(1.0, np.eye(6))]))
+        start = np.array([0.5, 5.0, 40.0])
+        polished = _refine_roots(image, start)
+        for c, s in zip(start, polished):
+            assert s == _reference_refine(image, c)
+
+
+def test_norm_count_is_linear_in_modes(monkeypatch):
+    # every spectral norm of a conversion, counted through numpy: the
+    # count must not grow with candidates x modes (48 poles here)
+    rng = np.random.default_rng(36)
+    k = MatrixRelaxation.make(
+        equilibrium=random_gram(rng, 6),
+        modes=[(r, random_gram(rng, 6)) for r in np.geomspace(0.1, 100, 8)])
+    calls = []
+    norm = np.linalg.norm
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting)
+    dual = viscodual.dualize(k)
+    assert len(dual.modes) == 48
+    assert len(calls) <= len(k.modes) + 8
+
+
 class TestImagePencil:
     def test_diagonal_embedding_matches_scalar_roots(self):
         # G_k = g_k I embeds the scalar problem sixfold
@@ -283,8 +451,14 @@ class TestImagePencil:
     def test_nonsingular_point_has_no_nullspace(self):
         k = MatrixRelaxation.make(equilibrium=np.eye(6),
                                   modes=[(1.0, np.eye(6))])
-        with pytest.raises(DefectivePencilError):
-            _image_nullspace(cbf_image(k), 5.0, 1)
+        [basis] = _image_nullspace(cbf_image(k), [5.0])
+        assert basis.shape == (6, 0)
+
+    @pytest.mark.parametrize("shape", [(6, 6), (2, 6, 6)])
+    def test_indefinite_residue_is_a_numeric_failure(self, shape):
+        m = np.broadcast_to(np.diag([1.0, 1, 1, 1, 1, -0.5]), shape)
+        with pytest.raises(NumericsError, match="indefinite"):
+            _clip_residues(m, 1.0)
 
     def test_residues_are_psd(self):
         rng = np.random.default_rng(31)
