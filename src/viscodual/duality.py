@@ -1,9 +1,11 @@
 """Conversions between relaxation and creep kernels.
 
-The conversions are computed exactly in coefficient space: the Laplace
-image ``p * ktilde(p)`` is a rational function, its reciprocal is again
-rational with interlaced negative poles, and extracting roots plus
-residues yields the dual kernel in the same finite-exponential class.  No
+The conversions are computed exactly in coefficient space.  Every kernel
+has the complete Bernstein image ``U(p) = p X + Y + sum Z_k p/(p + t_k)``
+(see :func:`viscodual.rational.cbf_as_rational`); its reciprocal is a
+Stieltjes function with interlaced negative poles, and its constant, its
+mass at zero and its poles with their residues are the dual kernel's
+coefficients.  Both directions are therefore the same problem.  No
 numerical Laplace inversion is involved.
 """
 
@@ -21,9 +23,17 @@ from .rational import (
     cbf_image,
     decompose_inverse,
     interlaced_roots,
-    stieltjes_as_rational,
     stieltjes_partial_fractions,
 )
+
+
+def _dualize_scalar(kernel, dual_kind):
+    """Scalar dual: ``U(p)^-1 = constant + zero_mass/p + sum m/(p + s)``."""
+    image = cbf_as_rational(kernel)
+    roots = interlaced_roots(*image)
+    constant, zero_mass, masses = stieltjes_partial_fractions(*image, roots)
+    return dual_kind.make(constant, zero_mass,
+                          list(zip(roots.tolist(), masses.tolist())))
 
 
 def dualize_relaxation_to_creep(kernel):
@@ -33,30 +43,12 @@ def dualize_relaxation_to_creep(kernel):
     complete Bernstein image decomposes into the Stieltjes canonical form
     whose pieces are exactly the creep coefficients.
     """
-    num, den = cbf_as_rational(kernel)
-    roots = interlaced_roots(
-        num, [r for r, _ in kernel.modes],
-        has_dirac=kernel.newtonian > 0.0,
-        has_equilibrium=kernel.equilibrium > 0.0)
-    parts = stieltjes_partial_fractions(num, den, roots)
-    return ScalarCreep.make(
-        instantaneous=parts.constant,
-        fluidity=parts.pole_at_zero_mass,
-        modes=parts.modes)
+    return _dualize_scalar(kernel, ScalarCreep)
 
 
 def dualize_creep_to_relaxation(kernel):
     """Relaxation kernel dual to a creep kernel: ``1/[p htilde(p)] = p ftilde(p)``."""
-    num, pole_product = stieltjes_as_rational(kernel)
-    roots = interlaced_roots(
-        num, [r for r, _ in kernel.modes],
-        has_dirac=kernel.instantaneous > 0.0,
-        has_equilibrium=kernel.fluidity > 0.0)
-    parts = stieltjes_partial_fractions(num, pole_product, roots)
-    return ScalarRelaxation.make(
-        newtonian=parts.constant,
-        equilibrium=parts.pole_at_zero_mass,
-        modes=parts.modes)
+    return _dualize_scalar(kernel, ScalarRelaxation)
 
 
 def dualize_matrix_relaxation_to_creep(kernel):

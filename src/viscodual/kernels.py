@@ -13,12 +13,12 @@ this module is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 # Relative tolerances shared across the package.
-TOL_MERGE = 1e-12   # rate gap below which two modes are merged
+TOL_MERGE = 1e-12   # gap to the lower rate, relative to the upper one,
+                    # below which two modes are merged
 TOL_DROP = 1e-14    # weight magnitude below which a mode is discarded
 TOL_PSD = 1e-10     # eigenvalue floor for positive-semidefiniteness checks
 TOL_SYM = 1e-12     # asymmetry accepted before symmetrizing a 6x6 input
@@ -89,8 +89,15 @@ def eigmin(m):
 
 
 def is_psd(m, tol=TOL_PSD):
+    """Symmetric within ``TOL_PSD`` and no eigenvalue below ``-tol``, both
+    relative to the spectral norm."""
+    m = np.asarray(m, dtype=float)
     n = matrix_norm(m)
-    return n == 0.0 or eigmin(m) >= -tol * n
+    if n == 0.0:
+        return True
+    if np.max(np.abs(m - m.T)) > TOL_PSD * n:
+        return False
+    return eigmin(0.5 * (m + m.T)) >= -tol * n
 
 
 def is_pd(m, tol=TOL_PSD):
@@ -133,21 +140,26 @@ def _checked_rate(rate):
     return rate
 
 
+def near_coincident(lower, upper):
+    """Whether two sorted rates are merged into one mode."""
+    return upper - lower <= TOL_MERGE * upper
+
+
 def _canonical_modes(rates, weights, sizes, scale, measure):
     """Sort by rate, merge near-coincident rates, drop negligible weights.
 
+    A rate joins the group of the next lower one when it is near-coincident
+    with the group's first rate, so the merge gap scales with the rates
+    themselves and slow modes stay apart however wide the spectrum is.
     ``sizes[i]`` is ``measure(weights[i])``, computed by the caller; only a
     merged weight is measured again.
     """
-    order = sorted(range(len(rates)), key=rates.__getitem__)
     groups = []
-    if order:
-        merge_gap = TOL_MERGE * rates[order[-1]]
-        for i in order:
-            if groups and rates[i] - rates[groups[-1][0]] <= merge_gap:
-                groups[-1].append(i)
-            else:
-                groups.append([i])
+    for i in sorted(range(len(rates)), key=rates.__getitem__):
+        if groups and near_coincident(rates[groups[-1][0]], rates[i]):
+            groups[-1].append(i)
+        else:
+            groups.append([i])
     kept = []
     for group in groups:
         weight, size = weights[group[0]], sizes[group[0]]
@@ -238,21 +250,9 @@ class ScalarRelaxation:
         return cls(beta, a, _scalar_modes(modes, scale))
 
     @property
-    def rates(self):
-        return np.array([r for r, _ in self.modes])
-
-    @property
-    def weights(self):
-        return np.array([w for _, w in self.modes])
-
-    @property
     def continuous_at_zero(self):
         """f0(0+) = equilibrium + sum of mode weights."""
         return self.equilibrium + sum(w for _, w in self.modes)
-
-    @property
-    def is_pure_newtonian(self):
-        return self.equilibrium == 0.0 and not self.modes
 
     @property
     def scale(self):
@@ -278,14 +278,6 @@ class ScalarCreep:
         if scale <= 0.0:
             raise InvalidKernel("creep kernel is identically zero")
         return cls(a, b, _scalar_modes(modes, scale))
-
-    @property
-    def rates(self):
-        return np.array([r for r, _ in self.modes])
-
-    @property
-    def masses(self):
-        return np.array([w for _, w in self.modes])
 
     @property
     def derivative_at_zero(self):
@@ -322,10 +314,6 @@ class MatrixRelaxation:
         return is_pd(total)
 
     @property
-    def rates(self):
-        return np.array([r for r, _ in self.modes])
-
-    @property
     def continuous_at_zero(self):
         """F(0+) = B + sum G_k."""
         out = np.array(self.equilibrium)
@@ -359,10 +347,6 @@ class MatrixCreep:
         for _, h in self.modes:
             total = total + h
         return is_pd(total)
-
-    @property
-    def rates(self):
-        return np.array([r for r, _ in self.modes])
 
     @property
     def derivative_at_zero(self):

@@ -21,6 +21,7 @@ from .kernels import (
     ScalarRelaxation,
     eval_creep,
     eval_relaxation,
+    near_coincident,
 )
 
 
@@ -78,8 +79,7 @@ def _parse_modes(doc, matrix):
             weight = _as_number(entry.get("weight"), f"mode {i} weight")
         modes.append((rate, weight))
     rates = sorted(r for r, _ in modes)
-    if rates and any(b - a <= 1e-12 * max(rates)
-                     for a, b in zip(rates, rates[1:])):
+    if any(near_coincident(a, b) for a, b in zip(rates, rates[1:])):
         warnings.warn("near-coincident mode rates merged during "
                       "canonicalization", stacklevel=2)
     return modes

@@ -1,12 +1,15 @@
 """Rational-function machinery behind the kernel conversions.
 
-``p * ftilde(p)`` of a Prony relaxation kernel is a rational complete
-Bernstein function; its reciprocal is a rational Stieltjes function whose
-poles interlace the kernel rates.  The scalar path expands exact
-numerator/denominator polynomials and finds the interlaced real roots by
-bracketed bisection; the 6x6 path never expands polynomials but linearizes
-the partial-fraction data into a structured generalized eigenproblem and
-extracts residues through a nullspace formula.
+Every kernel maps to the complete Bernstein image
+``U(p) = p X + Y + sum_k Z_k p/(p + t_k)``, with PSD data (nonnegative
+numbers for a scalar kernel), and ``U(p)^-1`` is a Stieltjes function whose
+pieces are the dual kernel's coefficients.  Both paths work on that
+partial-fraction form and never multiply it out into monomial
+coefficients, which lose digits on dense or wide spectra.  The scalar path
+bisects the secular equation ``U(-s) = 0`` on the brackets set by the
+interlacing of its roots with the rates and reads the residues off
+``1/U'(-s)``; the 6x6 path linearizes the same data into a structured
+generalized eigenproblem and extracts residues through a nullspace formula.
 """
 
 from __future__ import annotations
@@ -14,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 import scipy.linalg
 
 from .kernels import (
+    CREEP_KINDS,
+    RELAXATION_KINDS,
     NumericsError,
     TOL_PSD,
     matrix_norm,
@@ -25,7 +29,8 @@ from .kernels import (
 )
 
 BISECT_REL_WIDTH = 1e-14    # relative bracket width before the Newton polish
-TOL_RESIDUE = 1e-12         # negative residues within this (relative) are clipped
+BISECT_LOG_RATIO = 4.0      # brackets wider than this ratio bisect in log space
+BISECT_MAX_STEPS = 200      # halvings after which a bracket counts as stalled
 TOL_IMAG = 1e-6             # accepted relative imaginary part of pencil eigenvalues
 TOL_CLUSTER = 1e-8          # relative gap for grouping refined repeated roots
 TOL_NULLSPACE = 1e-8        # singular values below this (relative) span the nullspace
@@ -34,226 +39,112 @@ TOL_CANCEL = 1e-13          # residue norms below this (relative) are numerical 
 TOL_CROSSCHECK = 1e-5       # relative mismatch allowed between the two A-evaluations
 
 
-class BracketError(NumericsError):
-    """A guaranteed sign-change bracket failed; input is numerically degenerate."""
-
-
-# ---------------------------------------------------------------------------
-# Polynomials
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RealPolynomial:
-    """Dense real polynomial, coefficients ascending by degree."""
-
-    coeffs: tuple
-
-    @classmethod
-    def make(cls, coeffs):
-        c = [float(x) for x in coeffs]
-        while len(c) > 1 and c[-1] == 0.0:
-            c.pop()
-        return cls(tuple(c))
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    @property
-    def leading(self):
-        return self.coeffs[-1]
-
-    def __call__(self, x):
-        return npoly.polyval(x, self.coeffs)
-
-    def derivative(self):
-        return RealPolynomial.make(npoly.polyder(self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, RealPolynomial):
-            return RealPolynomial.make(npoly.polymul(self.coeffs, other.coeffs))
-        return RealPolynomial.make(np.asarray(self.coeffs) * float(other))
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        return RealPolynomial.make(npoly.polyadd(self.coeffs, other.coeffs))
-
-
-def product_of_monomials(rates):
-    """``prod_k (p + r_k)`` as a RealPolynomial."""
-    out = RealPolynomial.make([1.0])
-    for r in rates:
-        out = out * RealPolynomial.make([r, 1.0])
-    return out
-
-
-@dataclass(frozen=True)
-class RationalStieltjes:
-    """``a + b/p + sum mass/(p + pole)`` with nonnegative data."""
-
-    constant: float
-    pole_at_zero_mass: float
-    modes: tuple
-
-    def __call__(self, p):
-        return (self.constant + self.pole_at_zero_mass / p
-                + sum(m / (p + s) for s, m in self.modes))
-
-
-# ---------------------------------------------------------------------------
-# Scalar numerators and denominators
-# ---------------------------------------------------------------------------
-
 def cbf_as_rational(kernel):
-    """Numerator and denominator of ``p * ftilde(p)`` for a relaxation kernel.
+    """The image ``U(p) = p X + Y + sum_k Z_k p/(p + t_k)`` of a kernel.
 
-    ``D(p) = prod(p + r_k)`` and
-    ``N(p) = (beta*p + a) D(p) + sum_k m_k p D(p)/(p + r_k)``, expanded.
+    Returns ``(X, Y, rates, weights)`` as arrays: ``rates`` is ``(K,)`` and
+    ``weights`` stacks the mode weights, ``(K,)`` for a scalar kernel and
+    ``(K, 6, 6)`` for a 6x6 one.  A relaxation kernel gives
+    ``U(p) = p ftilde(p)`` with ``(X, Y) = (newtonian, equilibrium)``; a
+    creep kernel gives ``U(p) = p^2 htilde(p)`` with
+    ``(X, Y) = (instantaneous, fluidity)``.  In both cases ``U(p)^-1``
+    decomposes into the dual kernel's coefficients.
     """
-    rates = [r for r, _ in kernel.modes]
-    den = product_of_monomials(rates)
-    num = RealPolynomial.make(
-        [kernel.equilibrium, kernel.newtonian]) * den
-    p = RealPolynomial.make([0.0, 1.0])
-    for i, (_, weight) in enumerate(kernel.modes):
-        others = product_of_monomials(rates[:i] + rates[i + 1:])
-        num = num + weight * (p * others)
-    return num, den
-
-
-def stieltjes_as_rational(kernel):
-    """Numerator of ``p * htilde(p)`` for a creep kernel, plus the pole product.
-
-    Returns ``(M, E)`` with ``p * htilde(p) = M(p) / (p * E(p))`` where
-    ``E(p) = prod(p + s_j)``.  ``M(p) = a p E + b E + sum_j nu_j p E/(p+s_j)``.
-    """
-    rates = [r for r, _ in kernel.modes]
-    pole_product = product_of_monomials(rates)
-    num = RealPolynomial.make(
-        [kernel.fluidity, kernel.instantaneous]) * pole_product
-    p = RealPolynomial.make([0.0, 1.0])
-    for i, (_, mass) in enumerate(kernel.modes):
-        others = product_of_monomials(rates[:i] + rates[i + 1:])
-        num = num + mass * (p * others)
-    return num, pole_product
+    if isinstance(kernel, RELAXATION_KINDS):
+        dirac, constant = kernel.newtonian, kernel.equilibrium
+    elif isinstance(kernel, CREEP_KINDS):
+        dirac, constant = kernel.instantaneous, kernel.fluidity
+    else:
+        raise TypeError(f"not a kernel: {type(kernel).__name__}")
+    return (np.asarray(dirac, dtype=float), np.asarray(constant, dtype=float),
+            np.array([r for r, _ in kernel.modes], dtype=float),
+            np.array([w for _, w in kernel.modes], dtype=float))
 
 
 # ---------------------------------------------------------------------------
-# Interlaced root finding
+# Scalar duals: the secular equation U(-s) = 0
 # ---------------------------------------------------------------------------
 
-def _bisect(f, lo, hi, flo, fhi):
-    """Bisection to relative width BISECT_REL_WIDTH, then one Newton step."""
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= BISECT_REL_WIDTH * mid:
+def _secular(X, Y, rates, weights, s):
+    """``U(-s)`` at a vector of points."""
+    sk = s[:, None]
+    return -X * s + Y + (sk / (sk - rates)) @ weights
+
+
+def _secular_slope(X, rates, weights, s):
+    """``U'(-s) = X + sum Z_k t_k/(t_k - s)^2`` at a vector of points."""
+    return X + (rates * (1.0 / (rates - s[:, None])) ** 2) @ weights
+
+
+def interlaced_roots(X, Y, rates, weights):
+    """Positive roots ``s`` of ``U(-s) = -X s + Y + sum Z_k s/(s - t_k)``.
+
+    ``rates`` must be sorted, positive and distinct, and the scalar data
+    nonnegative with positive weights.  The roots interlace the rates: one
+    in ``(0, t_1)`` when ``Y > 0``, one in every ``(t_i, t_{i+1})``, and one
+    above ``t_K`` when ``X > 0``.  On each bracket ``U(-s)`` falls
+    monotonically from above zero to minus infinity, so the sign at the
+    midpoint alone decides which half holds the root; no endpoint is
+    evaluated.  The lowest bracket starts at
+    ``min(t_1, Y/(X + 2 sum Z_k/t_k))/2``, where ``U(-s)`` is still
+    positive, and the highest ends at ``max(2 t_K, 2 (Y + 2 sum Z)/X)``,
+    where it is negative.  Every bracket is bisected at once, in log space
+    while it spans more than a factor of ``BISECT_LOG_RATIO``, to relative
+    width ``BISECT_REL_WIDTH``; each root then takes one Newton step, kept
+    only if it stays inside its bracket.  A NaN in ``U(-s)`` stalls its
+    bracket, and a bracket still open after ``BISECT_MAX_STEPS`` halvings
+    raises :class:`NumericsError`.
+    """
+    count = rates.size
+    top = rates[-1] if count else 0.0
+    lo = np.concatenate([[0.0], rates])
+    hi = np.append(rates, max(2.0 * top, 2.0 * (Y + 2.0 * weights.sum()) / X)
+                   if X > 0.0 else np.inf)
+    keep = np.ones(count + 1, dtype=bool)
+    keep[0] = Y > 0.0
+    keep[-1] &= X > 0.0
+    lo, hi = lo[keep], hi[keep]
+    if keep[0]:
+        lo[0] = 0.5 * min(hi[0], Y / (X + 2.0 * np.sum(weights / rates)))
+
+    for _ in range(BISECT_MAX_STEPS):
+        active = hi - lo > BISECT_REL_WIDTH * lo
+        if not active.any():
             break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm < 0.0) == (flo < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-    return 0.5 * (lo + hi)
-
-
-def interlaced_roots(numerator, poles, has_dirac, has_equilibrium,
-                     derivative=None):
-    """Positive roots ``s`` of ``numerator(-s) = 0``, bracketed by interlacing.
-
-    ``poles`` are the (sorted, positive) rates of the source kernel.  The
-    Stieltjes structure places exactly one root strictly between consecutive
-    rates, one below the smallest rate when the numerator does not vanish at
-    zero (``has_equilibrium``), and one above the largest rate when the
-    numerator carries the extra Dirac degree (``has_dirac``).  Each root is
-    refined by bisection and polished with one Newton step.
-    """
-    poles = sorted(float(r) for r in poles)
-    if derivative is None:
-        derivative = numerator.derivative()
-
-    def q(s):
-        return numerator(-s)
-
-    intervals = [(0.0, poles[0])] if poles else []
-    intervals += list(zip(poles, poles[1:]))
-    if has_dirac:
-        # Cauchy bound on the root magnitudes of the numerator.
-        bound = 1.0 + max(abs(c) for c in numerator.coeffs) / abs(
-            numerator.leading)
-        start = poles[-1] if poles else 0.0
-        if bound <= start:
-            bound = 2.0 * start + 1.0
-        intervals.append((start, bound))
-    if intervals and not has_equilibrium:
-        intervals = intervals[1:]
-
-    roots = []
-    for lo, hi in intervals:
-        flo, fhi = q(lo), q(hi)
-        grow = 0
-        while flo * fhi > 0.0 and has_dirac and hi > (poles[-1] if poles else 0.0) \
-                and grow < 60 and (lo, hi) == intervals[-1]:
-            # The Cauchy bound can undershoot for extreme coefficients.
-            hi *= 2.0
-            fhi = q(hi)
-            grow += 1
-        if flo == 0.0 or fhi == 0.0 or flo * fhi > 0.0:
-            raise BracketError(
-                f"no sign change in root bracket ({lo:.6g}, {hi:.6g}); "
-                "rates may be numerically coincident")
-        root = _bisect(q, lo, hi, flo, fhi)
-        slope = -derivative(-root)
-        if slope != 0.0:
-            polished = root - q(root) / slope
-            if lo < polished < hi:
-                root = polished
-        roots.append(root)
-    return roots
-
-
-# ---------------------------------------------------------------------------
-# Scalar residues
-# ---------------------------------------------------------------------------
-
-def stieltjes_partial_fractions(numerator, denominator, roots):
-    """Decompose ``denominator/numerator`` into Stieltjes canonical form.
-
-    ``roots`` must be the positive-negated zeros of the numerator.  Returns
-    the constant (value at infinity), the mass of the pole at zero (nonzero
-    only when the numerator vanishes at zero) and one (pole, mass) pair per
-    root.  Residues that come out negative beyond ``TOL_RESIDUE`` signal an
-    upstream root error.
-    """
-    dnum = numerator.derivative()
-    if numerator.degree > denominator.degree:
-        constant = 0.0
+        wide = hi > BISECT_LOG_RATIO * lo
+        mid = np.where(wide, np.sqrt(lo) * np.sqrt(hi), 0.5 * (lo + hi))
+        value = _secular(X, Y, rates, weights, mid)
+        # an exact zero closes the bracket on both sides; a NaN stalls it
+        lo = np.where(active & (value >= 0.0), mid, lo)
+        hi = np.where(active & (value <= 0.0), mid, hi)
     else:
-        constant = denominator.leading / numerator.leading
-    if numerator.coeffs[0] == 0.0:
-        zero_mass = denominator(0.0) / dnum(0.0)
-    else:
-        zero_mass = 0.0
-    masses = [denominator(-s) / dnum(-s) for s in roots]
+        raise NumericsError("root bisection stalled: U(-s) is NaN or the "
+                            "bracket is below floating-point resolution")
 
-    scale = abs(constant) + abs(zero_mass) + sum(abs(m) for m in masses)
-    tol = TOL_RESIDUE * scale
-    for value, what in [(constant, "constant"), (zero_mass, "pole-at-zero mass")]:
-        if value < -tol:
-            raise NumericsError(f"negative {what} {value:.3e} in decomposition")
-    modes = []
-    for s, m in zip(roots, masses):
-        if m < -tol:
-            raise NumericsError(
-                f"negative residue {m:.3e} at pole {s:.6g}; root refinement failed")
-        if m > 0.0:
-            modes.append((s, m))
-    modes.sort(key=lambda e: e[0])
-    return RationalStieltjes(max(constant, 0.0), max(zero_mass, 0.0),
-                             tuple(modes))
+    roots = 0.5 * (lo + hi)
+    polished = roots + (_secular(X, Y, rates, weights, roots)
+                        / _secular_slope(X, rates, weights, roots))
+    return np.where((lo < polished) & (polished < hi), polished, roots)
 
+
+def stieltjes_partial_fractions(X, Y, rates, weights, roots):
+    """``U(p)^-1 = constant + zero_mass/p + sum_i mass_i/(p + s_i)``.
+
+    ``roots`` are the ``s_i`` from :func:`interlaced_roots`.  Everything is
+    in closed form: the masses are ``1/U'(-s_i)``, the constant is
+    ``1/U(inf) = 1/(Y + sum Z)`` when ``X = 0`` (else 0) and the zero mass
+    is ``1/U'(0) = 1/(X + sum Z_k/t_k)`` when ``Y = 0`` (else 0).  Returns
+    ``(constant, zero_mass, masses)``.  A non-finite or non-positive mass
+    means the image data were degenerate and raises :class:`NumericsError`.
+    """
+    masses = 1.0 / _secular_slope(X, rates, weights, roots)
+    constant = 0.0 if X > 0.0 else 1.0 / (Y + weights.sum())
+    zero_mass = 0.0 if Y > 0.0 else 1.0 / (X + np.sum(weights / rates))
+    bad = ~(np.isfinite(masses) & (masses > 0.0))
+    if bad.any():
+        raise NumericsError(f"mass {masses[bad][0]:.3e} at pole "
+                            f"{roots[bad][0]:.6g} is not finite and positive")
+    return float(constant), float(zero_mass), masses
 
 
 # ---------------------------------------------------------------------------
@@ -327,20 +218,9 @@ class CbfImage:
 
 
 def cbf_image(kernel):
-    """The image ``U`` whose inverse holds the dual kernel's coefficients."""
-    # local import keeps the module dependency one-way at load time
-    from .kernels import CREEP_KINDS, RELAXATION_KINDS
-    if isinstance(kernel, RELAXATION_KINDS):
-        dirac, constant = kernel.newtonian, kernel.equilibrium
-    elif isinstance(kernel, CREEP_KINDS):
-        dirac, constant = kernel.instantaneous, kernel.fluidity
-    else:
-        raise TypeError(f"not a kernel: {type(kernel).__name__}")
-    return CbfImage(np.asarray(dirac, dtype=float),
-                    np.asarray(constant, dtype=float),
-                    np.array([r for r, _ in kernel.modes], dtype=float),
-                    np.array([w for _, w in kernel.modes],
-                             dtype=float).reshape(-1, 6, 6))
+    """The image ``U`` of a 6x6 kernel, with its weights as ``(K, 6, 6)``."""
+    dirac, constant, rates, weights = cbf_as_rational(kernel)
+    return CbfImage(dirac, constant, rates, weights.reshape(-1, 6, 6))
 
 
 def image_pencil_roots(image):

@@ -21,6 +21,7 @@ from .kernels import (
     eval_creep,
     eval_relaxation,
     is_pd,
+    is_psd,
     matrix_norm,
     max_rate,
 )
@@ -156,16 +157,6 @@ def check_wellformed(kernel):
             samples = [[evaluate(kernel, t) for t in times]]
         _alternation_checks(rep, times, samples, decreasing=is_relax)
     return rep.report()
-
-
-def is_psd(m, tol=1e-10):
-    m = np.asarray(m, dtype=float)
-    n = matrix_norm(m)
-    if n == 0.0:
-        return True
-    if np.max(np.abs(m - m.T)) > 1e-10 * n:
-        return False
-    return float(np.linalg.eigvalsh(0.5 * (m + m.T))[0]) >= -tol * n
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Seeded random kernel generators and closeness assertions shared by tests.
+"""Seeded random kernel generators, closeness assertions and root oracles
+shared by tests.
 
 Rates are drawn with log-spaced gaps so that the overall spread stays
 within three decades; weights are O(1).  Matrix weights are random Gram
@@ -7,6 +8,7 @@ total coefficient sum is positive definite (the conversion hypothesis).
 """
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 
 from viscodual import (
     MatrixCreep,
@@ -15,6 +17,7 @@ from viscodual import (
     ScalarRelaxation,
     symmetric6,
 )
+from viscodual.rational import cbf_as_rational
 
 
 def rate_set(rng, n, spread=3.0):
@@ -126,3 +129,39 @@ def kernel_distance(a, b):
 def assert_kernels_close(a, b, tol):
     dist = kernel_distance(a, b)
     assert dist <= tol, f"kernel mismatch {dist:.3e} > {tol:.1e}"
+
+
+def image_value(image, p):
+    """``U(p) = p X + Y + sum Z_k p/(p + t_k)`` of scalar image data."""
+    dirac, constant, rates, weights = image
+    return p * dirac + constant + float(np.sum(weights * p / (p + rates)))
+
+
+def _trimmed(coeffs):
+    out = [float(c) for c in coeffs]
+    while len(out) > 1 and out[-1] == 0.0:
+        out.pop()
+    return out
+
+
+def _product_of_monomials(rates):
+    out = [1.0]
+    for r in rates:
+        out = npoly.polymul(out, [r, 1.0])
+    return out
+
+
+def image_numerator(kernel):
+    """Ascending coefficients of ``N`` in ``U(p) = N(p) / prod(p + t_k)``.
+
+    ``N(p) = (X p + Y) prod(p + t_k) + sum_k Z_k p prod_{j != k}(p + t_j)``,
+    expanded into monomials: the input of the companion-matrix oracle.
+    """
+    dirac, constant, rates, weights = cbf_as_rational(kernel)
+    rates = list(rates)
+    num = npoly.polymul(_trimmed([constant, dirac]),
+                        _product_of_monomials(rates))
+    for k, weight in enumerate(weights):
+        others = _product_of_monomials(rates[:k] + rates[k + 1:])
+        num = npoly.polyadd(num, weight * npoly.polymul([0.0, 1.0], others))
+    return _trimmed(num)

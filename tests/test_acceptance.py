@@ -29,6 +29,7 @@ from viscodual.rational import cbf_image, decompose_inverse, cbf_as_rational, \
     interlaced_roots
 
 from kernel_corpus import (
+    image_numerator,
     kernel_distance,
     random_matrix_creep,
     random_matrix_relaxation,
@@ -146,17 +147,13 @@ def test_criterion_7_root_law_against_companion_oracle():
     worst = 0.0
     for _ in range(200):
         k = random_scalar_relaxation(rng)
-        num, _ = cbf_as_rational(k)
-        roots = sorted(interlaced_roots(
-            num, [r for r, _ in k.modes],
-            has_dirac=k.newtonian > 0,
-            has_equilibrium=k.equilibrium > 0))
+        roots = sorted(interlaced_roots(*cbf_as_rational(k)))
         expected = len(k.modes) - (1 if k.equilibrium == 0 else 0) \
             + (1 if k.newtonian > 0 else 0)
         if len(roots) != expected:
             worst = max(worst, 1.0)
             continue
-        oracle = np.roots(list(num.coeffs)[::-1])
+        oracle = np.roots(image_numerator(k)[::-1])
         oracle = sorted(-z.real for z in oracle
                         if z.real < 0 and abs(z.imag) < 1e-9 * abs(z))
         if len(oracle) != len(roots):

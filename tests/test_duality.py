@@ -1,3 +1,6 @@
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from viscodual import (
     dualize_relaxation_to_creep,
     duality_residual,
     laplace_times_p,
+    parse_material,
     symmetric6,
 )
 
@@ -198,3 +202,106 @@ class TestInvolution:
         assert dualize_relaxation_to_creep(r) == dualize(r)
         c = dualize(r)
         assert dualize_creep_to_relaxation(c) == dualize(c)
+
+
+def _mp_image(kernel):
+    """Image data ``(X, Y, rates, weights)`` of a scalar kernel as mpf."""
+    if isinstance(kernel, ScalarRelaxation):
+        dirac, constant = kernel.newtonian, kernel.equilibrium
+    else:
+        dirac, constant = kernel.instantaneous, kernel.fluidity
+    return (mpmath.mpf(dirac), mpmath.mpf(constant),
+            [mpmath.mpf(r) for r, _ in kernel.modes],
+            [mpmath.mpf(w) for _, w in kernel.modes])
+
+
+def _mp_roots(kernel):
+    """Roots of ``U(-s)`` by plain bisection at 50 digits, one per bracket."""
+    dirac, constant, rates, weights = _mp_image(kernel)
+
+    def value(s):
+        return -dirac * s + constant + sum(
+            w * s / (s - t) for t, w in zip(rates, weights))
+
+    edges = [mpmath.mpf(0)] + rates
+    brackets = list(zip(edges, rates))[0 if constant > 0 else 1:]
+    if dirac > 0:
+        hi = 2 * edges[-1] + 1
+        while value(hi) >= 0:
+            hi *= 2
+        brackets.append((edges[-1], hi))
+    roots = []
+    for lo, hi in brackets:
+        while hi - lo > mpmath.mpf(10) ** -45 * hi:
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if value(mid) > 0 else (lo, mid)
+        roots.append((lo + hi) / 2)
+    return roots
+
+
+def _mp_laplace_times_p(kernel, p):
+    dirac, constant, rates, weights = _mp_image(kernel)
+    if isinstance(kernel, ScalarRelaxation):
+        return dirac * p + constant + sum(
+            w * p / (p + t) for t, w in zip(rates, weights))
+    return dirac + constant / p + sum(w / (p + t) for t, w in zip(rates, weights))
+
+
+def _scalar_kernel(kind, first, second, rates, seed):
+    weights = np.random.default_rng(seed).uniform(0.2, 5.0, size=len(rates))
+    return kind.make(first, second, list(zip(rates, weights)))
+
+
+# Dense fits (12 modes within 0.3 decade) lose digits in expanded
+# polynomials; 16-decade fits (one mode per decade) lose their slow modes
+# when the merge gap is measured against the largest rate.
+HARD_SCALAR_KERNELS = {
+    "dense-relaxation-solid": (ScalarRelaxation, 0.7, 1.3,
+                               np.geomspace(1.0, 10.0 ** 0.3, 12)),
+    "dense-creep-fluid": (ScalarCreep, 1.1, 0.4,
+                          np.geomspace(3.0, 3.0 * 10.0 ** 0.3, 12)),
+    "wide-relaxation-solid": (ScalarRelaxation, 0.0, 1.0,
+                              10.0 ** np.arange(-8.0, 9.0)),
+    "wide-creep-fluid": (ScalarCreep, 0.5, 0.3,
+                         10.0 ** np.arange(-8.0, 9.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HARD_SCALAR_KERNELS))
+def test_hard_scalar_spectra_against_high_precision(name):
+    kind, first, second, rates = HARD_SCALAR_KERNELS[name]
+    k = _scalar_kernel(kind, first, second, rates, seed=len(name))
+    assert len(k.modes) == len(rates)   # no distinct rates merged
+    dual = dualize(k)
+    with mpmath.workdps(50):
+        oracle = _mp_roots(k)
+        assert len(dual.modes) == len(oracle)
+        for (s, _), ref in zip(dual.modes, oracle):
+            assert abs(s - ref) <= 1e-12 * ref
+        worst = max(abs(_mp_laplace_times_p(k, p) * _mp_laplace_times_p(dual, p) - 1)
+                    for p in np.geomspace(1e-3 * rates[0], 1e3 * rates[-1], 60))
+    assert worst <= 1e-12
+
+
+def test_dense_fit_dualizes_without_runtime_warnings():
+    # ten creep modes within two decades: expanding the image into
+    # polynomials overflowed and printed a RuntimeWarning on every conversion
+    doc = (
+        '{"kind": "creep", "dimension": "scalar", '
+        '"instantaneous": 0.7928379650962721, "fluidity": 0.6550327512211722, '
+        '"modes": [{"rate": 37.43020790083283, "weight": 2.523931954874422}, '
+        '{"rate": 58.31981065588595, "weight": 4.138932546858394}, '
+        '{"rate": 109.92835082996437, "weight": 0.6557967263844087}, '
+        '{"rate": 201.91612772063917, "weight": 2.345955499895114}, '
+        '{"rate": 323.0129422734771, "weight": 2.160524539071233}, '
+        '{"rate": 538.5726214017425, "weight": 2.7107809483892518}, '
+        '{"rate": 737.3916461947776, "weight": 3.940220054391154}, '
+        '{"rate": 939.6958863380364, "weight": 4.478852218372226}, '
+        '{"rate": 1327.3068240874695, "weight": 4.998780847862899}, '
+        '{"rate": 2555.008596588301, "weight": 3.8842375202270367}]}')
+    k = parse_material(doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        r = dualize(k)
+    assert len(r.modes) == 11
+    assert duality_residual(r, k) <= 1e-9

@@ -12,9 +12,7 @@ from viscodual import (
 from viscodual.rational import (
     TOL_CLUSTER,
     TOL_NULLSPACE,
-    BracketError,
     CbfImage,
-    RealPolynomial,
     _clip_residues,
     _image_nullspace,
     _refine_roots,
@@ -23,12 +21,12 @@ from viscodual.rational import (
     decompose_inverse,
     image_pencil_roots,
     interlaced_roots,
-    product_of_monomials,
-    stieltjes_as_rational,
     stieltjes_partial_fractions,
 )
 
 from kernel_corpus import (
+    image_numerator,
+    image_value,
     random_gram,
     random_matrix_creep,
     random_matrix_relaxation,
@@ -37,62 +35,38 @@ from kernel_corpus import (
 )
 
 
-class TestRealPolynomial:
-    def test_evaluation(self):
-        p = RealPolynomial.make([1.0, 2.0, 3.0])   # 1 + 2x + 3x^2
-        assert p(2.0) == pytest.approx(17.0)
-
-    def test_trailing_zeros_trimmed(self):
-        p = RealPolynomial.make([1.0, 2.0, 0.0])
-        assert p.degree == 1
-
-    def test_derivative(self):
-        p = RealPolynomial.make([1.0, 2.0, 3.0]).derivative()
-        assert p(2.0) == pytest.approx(14.0)
-
-    def test_product_of_monomials(self):
-        p = product_of_monomials([1.0, 3.0])
-        # (x+1)(x+3) = 3 + 4x + x^2
-        assert list(p.coeffs) == pytest.approx([3.0, 4.0, 1.0])
-
-    def test_multiplication(self):
-        a = RealPolynomial.make([1.0, 1.0])
-        b = RealPolynomial.make([2.0, 0.0, 1.0])
-        c = a * b
-        x = 1.7
-        assert c(x) == pytest.approx(a(x) * b(x))
-
-
 class TestScalarRationalForms:
     def test_standard_solid_numerator(self):
-        # f = 1 + exp(-t): p ftilde = (2p + 1)/(p + 1)
+        # f = 1 + exp(-t): p ftilde = 1 + p/(p + 1) = (2p + 1)/(p + 1)
         k = ScalarRelaxation.make(equilibrium=1.0, modes=[(1.0, 1.0)])
-        num, den = cbf_as_rational(k)
-        assert list(num.coeffs) == pytest.approx([1.0, 2.0])
-        assert list(den.coeffs) == pytest.approx([1.0, 1.0])
+        dirac, constant, rates, weights = cbf_as_rational(k)
+        assert (dirac, constant) == (0.0, 1.0)
+        assert rates.tolist() == [1.0] and weights.tolist() == [1.0]
+        assert image_numerator(k) == pytest.approx([1.0, 2.0])
 
     def test_rational_image_matches_mode_sum(self):
         rng = np.random.default_rng(21)
         for _ in range(40):
             k = random_scalar_relaxation(rng)
-            num, den = cbf_as_rational(k)
+            image = cbf_as_rational(k)
             for p in 10.0 ** rng.uniform(-2, 2, size=5):
-                assert num(p) / den(p) == pytest.approx(
+                assert image_value(image, p) == pytest.approx(
                     laplace_times_p(k, p), rel=1e-11)
 
     def test_creep_rational_image(self):
         rng = np.random.default_rng(22)
         for _ in range(40):
             k = random_scalar_creep(rng)
-            num, pole_product = stieltjes_as_rational(k)
+            image = cbf_as_rational(k)
             for p in 10.0 ** rng.uniform(-2, 2, size=5):
-                assert num(p) / (p * pole_product(p)) == pytest.approx(
+                assert image_value(image, p) / p == pytest.approx(
                     laplace_times_p(k, p), rel=1e-11)
 
 
-def companion_root_oracle(num):
-    """Real negative roots of the numerator via numpy's companion solver."""
-    roots = np.roots(list(num.coeffs)[::-1])
+def companion_root_oracle(kernel):
+    """Real negative roots of the expanded numerator via numpy's companion
+    solver."""
+    roots = np.roots(image_numerator(kernel)[::-1])
     roots = roots[np.abs(roots.imag) < 1e-9 * (1 + np.abs(roots))]
     out = sorted(-r.real for r in roots if r.real < 0)
     return [s for s in out if s > 1e-13]
@@ -103,11 +77,7 @@ class TestInterlacedRoots:
         rng = np.random.default_rng(23)
         for _ in range(200):
             k = random_scalar_relaxation(rng)
-            num, _ = cbf_as_rational(k)
-            roots = interlaced_roots(
-                num, [r for r, _ in k.modes],
-                has_dirac=k.newtonian > 0,
-                has_equilibrium=k.equilibrium > 0)
+            roots = interlaced_roots(*cbf_as_rational(k))
             n = len(k.modes)
             expected = n - (1 if k.equilibrium == 0 else 0) \
                 + (1 if k.newtonian > 0 else 0)
@@ -119,10 +89,7 @@ class TestInterlacedRoots:
             k = random_scalar_relaxation(rng)
             if len(k.modes) < 2:
                 continue
-            roots = interlaced_roots(
-                cbf_as_rational(k)[0], [r for r, _ in k.modes],
-                has_dirac=k.newtonian > 0,
-                has_equilibrium=k.equilibrium > 0)
+            roots = interlaced_roots(*cbf_as_rational(k)).tolist()
             rates = [r for r, _ in k.modes]
             merged = sorted(roots + rates)
             # strictly alternating: no two roots without a rate between them
@@ -133,56 +100,75 @@ class TestInterlacedRoots:
         rng = np.random.default_rng(25)
         for _ in range(150):
             k = random_scalar_relaxation(rng)
-            num, _ = cbf_as_rational(k)
-            roots = interlaced_roots(
-                num, [r for r, _ in k.modes],
-                has_dirac=k.newtonian > 0,
-                has_equilibrium=k.equilibrium > 0)
-            oracle = companion_root_oracle(num)
+            roots = interlaced_roots(*cbf_as_rational(k))
+            oracle = companion_root_oracle(k)
             assert len(roots) == len(oracle)
             for a, b in zip(sorted(roots), oracle):
                 assert a == pytest.approx(b, rel=1e-9)
 
-    def test_missing_bracket_raises(self):
-        # numerator with no sign change in (0, 1): fabricated inconsistency
-        num = RealPolynomial.make([1.0, 1.0])
-        with pytest.raises(BracketError):
-            interlaced_roots(num, [1.0], has_dirac=False, has_equilibrium=True)
+    def test_creep_roots_follow_the_same_law(self):
+        rng = np.random.default_rng(20)
+        for _ in range(100):
+            k = random_scalar_creep(rng)
+            roots = interlaced_roots(*cbf_as_rational(k))
+            assert len(roots) == len(k.modes) - (k.fluidity == 0) \
+                + (k.instantaneous > 0)
+            oracle = companion_root_oracle(k)
+            assert len(roots) == len(oracle)
+            for a, b in zip(sorted(roots), oracle):
+                assert a == pytest.approx(b, rel=1e-9)
+
+    def test_non_finite_image_raises(self):
+        rates, weights = np.array([1.0, 3.0]), np.array([1.0, 2.0])
+        with pytest.raises(NumericsError, match="NaN"):
+            interlaced_roots(np.nan, 1.0, rates, weights)
+        # a kernel built around make's validation never gives a dual
+        k = ScalarRelaxation(0.0, 1.0, ((1.0, 1.0), (3.0, np.nan)))
+        with pytest.raises(NumericsError, match="NaN"):
+            viscodual.dualize(k)
 
 
 class TestScalarPartialFractions:
     def test_standard_solid_decomposition(self):
         # reciprocal of (2p+1)/(p+1): constant 1/2, mode (1/2, 1/4)
-        num = RealPolynomial.make([1.0, 2.0])
-        den = RealPolynomial.make([1.0, 1.0])
-        parts = stieltjes_partial_fractions(num, den, [0.5])
-        assert parts.constant == pytest.approx(0.5)
-        assert parts.pole_at_zero_mass == 0.0
-        assert parts.modes[0][0] == pytest.approx(0.5)
-        assert parts.modes[0][1] == pytest.approx(0.25)
+        image = (0.0, 1.0, np.array([1.0]), np.array([1.0]))
+        roots = interlaced_roots(*image)
+        constant, zero_mass, masses = stieltjes_partial_fractions(
+            *image, roots)
+        assert constant == pytest.approx(0.5)
+        assert zero_mass == 0.0
+        assert roots.tolist() == pytest.approx([0.5])
+        assert masses.tolist() == pytest.approx([0.25])
 
     def test_zero_mass_when_numerator_vanishes_at_origin(self):
-        # maxwell: N = p, D = p + 1 -> 1/p + 1 (fluidity 1, instantaneous 1)
-        num = RealPolynomial.make([0.0, 1.0])
-        den = RealPolynomial.make([1.0, 1.0])
-        parts = stieltjes_partial_fractions(num, den, [])
-        assert parts.constant == pytest.approx(1.0)
-        assert parts.pole_at_zero_mass == pytest.approx(1.0)
-        assert parts.modes == ()
+        # maxwell: U = p/(p + 1) -> 1/p + 1 (fluidity 1, instantaneous 1)
+        image = (0.0, 0.0, np.array([1.0]), np.array([1.0]))
+        roots = interlaced_roots(*image)
+        assert roots.size == 0
+        constant, zero_mass, masses = stieltjes_partial_fractions(
+            *image, roots)
+        assert constant == pytest.approx(1.0)
+        assert zero_mass == pytest.approx(1.0)
+        assert masses.size == 0
 
     def test_reconstruction_identity(self):
         rng = np.random.default_rng(26)
-        for _ in range(60):
-            k = random_scalar_relaxation(rng)
-            num, den = cbf_as_rational(k)
-            roots = interlaced_roots(
-                num, [r for r, _ in k.modes],
-                has_dirac=k.newtonian > 0,
-                has_equilibrium=k.equilibrium > 0)
-            parts = stieltjes_partial_fractions(num, den, roots)
+        for make in [random_scalar_relaxation] * 60 + [random_scalar_creep] * 60:
+            image = cbf_as_rational(make(rng))
+            roots = interlaced_roots(*image)
+            constant, zero_mass, masses = stieltjes_partial_fractions(
+                *image, roots)
             for p in 10.0 ** rng.uniform(-2, 2, size=4):
-                assert parts(p) * (num(p) / den(p)) == pytest.approx(
+                inverse = constant + zero_mass / p + np.sum(
+                    masses / (p + roots))
+                assert inverse * image_value(image, p) == pytest.approx(
                     1.0, rel=1e-9)
+
+    def test_non_positive_mass_raises(self):
+        # a negative weight breaks the Stieltjes structure
+        image = (0.0, 2.0, np.array([1.0]), np.array([-1.0]))
+        with pytest.raises(NumericsError, match="finite and positive"):
+            stieltjes_partial_fractions(*image, np.array([0.5]))
 
 
 class TestCbfImage:
@@ -383,9 +369,7 @@ class TestImagePencil:
         # G_k = g_k I embeds the scalar problem sixfold
         k_scalar = ScalarRelaxation.make(
             equilibrium=1.0, modes=[(1.0, 1.0), (3.0, 2.0)])
-        num, _ = cbf_as_rational(k_scalar)
-        expected = interlaced_roots(num, [1.0, 3.0], has_dirac=False,
-                                    has_equilibrium=True)
+        expected = interlaced_roots(*cbf_as_rational(k_scalar))
         k = MatrixRelaxation.make(
             equilibrium=np.eye(6),
             modes=[(1.0, np.eye(6)), (3.0, 2.0 * np.eye(6))])
