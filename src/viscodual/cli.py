@@ -15,12 +15,11 @@ import numpy as np
 
 from .duality import dualize
 from .kernels import (
+    CREEP_KINDS,
+    RELAXATION_KINDS,
     EigenstressBasis,
     InvalidKernel,
-    MatrixCreep,
-    MatrixRelaxation,
     NumericsError,
-    ScalarCreep,
     ScalarRelaxation,
     UNBOUNDED,
     assemble_eigenstress,
@@ -144,11 +143,9 @@ def _cmd_check(args):
 
 
 def _orient_pair(first, second):
-    relaxations = (ScalarRelaxation, MatrixRelaxation)
-    creeps = (ScalarCreep, MatrixCreep)
-    if isinstance(first, relaxations) and isinstance(second, creeps):
+    if isinstance(first, RELAXATION_KINDS) and isinstance(second, CREEP_KINDS):
         return first, second
-    if isinstance(first, creeps) and isinstance(second, relaxations):
+    if isinstance(first, CREEP_KINDS) and isinstance(second, RELAXATION_KINDS):
         return second, first
     raise InvalidKernel(
         "a dual pair needs one relaxation and one creep kernel")
@@ -164,7 +161,7 @@ def _cmd_sample(args):
 
 def _cmd_limits(args):
     kernel = parse_material(_read(args.input))
-    if isinstance(kernel, (ScalarRelaxation, MatrixRelaxation)):
+    if isinstance(kernel, RELAXATION_KINDS):
         report = relaxation_limits(kernel)
     else:
         report = creep_limits(kernel)
@@ -203,15 +200,17 @@ def _cmd_respond(args):
     kernel = parse_material(_read(args.kernel))
     kind, history = _parse_history(_read(args.history))
     if args.n is not None:
+        if args.n < 1:
+            raise ValueError("--n must be at least 1")
         times = np.linspace(0.0, history.times[-1], args.n)
     else:
         times = history.times
     if kind == "strain":
-        if not isinstance(kernel, (ScalarRelaxation, MatrixRelaxation)):
+        if not isinstance(kernel, RELAXATION_KINDS):
             raise InvalidKernel("a strain history needs a relaxation kernel")
         series = respond(kernel, history, times)
     else:
-        if not isinstance(kernel, (ScalarCreep, MatrixCreep)):
+        if not isinstance(kernel, CREEP_KINDS):
             raise InvalidKernel("a stress history needs a creep kernel")
         series = respond_creep(kernel, history, times)
 

@@ -182,12 +182,13 @@ def sample_to_csv(kernel, t_start, t_end, count, spacing="linear"):
     if count < 2:
         raise ValueError("count must be at least 2")
     if spacing == "log":
-        if not 0.0 < t_start < t_end:
-            raise ValueError("log spacing requires 0 < t_start < t_end")
+        if not 0.0 < t_start < t_end < np.inf:
+            raise ValueError("log spacing requires 0 < t_start < t_end < inf")
         grid = np.geomspace(t_start, t_end, int(count))
     elif spacing == "linear":
-        if not 0.0 <= t_start < t_end:
-            raise ValueError("linear spacing requires 0 <= t_start < t_end")
+        if not 0.0 <= t_start < t_end < np.inf:
+            raise ValueError(
+                "linear spacing requires 0 <= t_start < t_end < inf")
         grid = np.linspace(t_start, t_end, int(count))
     else:
         raise ValueError("spacing must be 'linear' or 'log'")

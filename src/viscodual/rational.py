@@ -8,8 +8,9 @@ partial-fraction form and never multiply it out into monomial
 coefficients, which lose digits on dense or wide spectra.  The scalar path
 bisects the secular equation ``U(-s) = 0`` on the brackets set by the
 interlacing of its roots with the rates and reads the residues off
-``1/U'(-s)``; the 6x6 path linearizes the same data into a structured
-generalized eigenproblem and extracts residues through a nullspace formula.
+``1/U'(-s)``; the 6x6 path linearizes the same data into a symmetric
+pencil, solves it as one symmetric eigenproblem and extracts residues
+through a nullspace formula.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .kernels import (
     CREEP_KINDS,
@@ -31,12 +31,12 @@ from .kernels import (
 BISECT_REL_WIDTH = 1e-14    # relative bracket width before the Newton polish
 BISECT_LOG_RATIO = 4.0      # brackets wider than this ratio bisect in log space
 BISECT_MAX_STEPS = 200      # halvings after which a bracket counts as stalled
-TOL_IMAG = 1e-6             # accepted relative imaginary part of pencil eigenvalues
 TOL_CLUSTER = 1e-8          # relative gap for grouping refined repeated roots
 TOL_NULLSPACE = 1e-8        # singular values below this (relative) span the nullspace
 TOL_CANCEL = 1e-13          # residue norms below this (relative) are numerical dust;
                             # genuine residues can span many orders of magnitude
 TOL_CROSSCHECK = 1e-5       # relative mismatch allowed between the two A-evaluations
+TOL_ZERO_POLE = 1e-9        # poles below this times the fastest rate count as at zero
 
 
 def cbf_as_rational(kernel):
@@ -159,7 +159,7 @@ def stieltjes_partial_fractions(X, Y, rates, weights, roots):
 #     U(p)^-1 = constant + zero_mass/p + sum_k W_k/(p + rho_k)
 #
 # whose pieces are exactly the dual kernel's coefficients.  The poles are
-# found from a structured linear pencil assembled from low-rank factors of
+# found from a symmetric linear pencil assembled from low-rank factors of
 # the mode weights; everything is evaluated in the original rational form,
 # never through expanded monomial coefficients, so wide rate spreads stay
 # well conditioned.
@@ -170,8 +170,10 @@ class CbfImage:
     """``U(p) = p X + Y + sum_k Z_k p/(p + t_k)`` with PSD 6x6 data.
 
     The modes are stacked: ``rates`` is ``(K,)`` and ``weights`` is
-    ``(K, 6, 6)``.  ``norms`` holds the spectral norms of ``X``, ``Y`` and
-    every ``Z_k``, computed once at construction in one batched call.
+    ``(K, 6, 6)``.  Computed once at construction: ``norms``, the spectral
+    norms of ``X``, ``Y`` and every ``Z_k`` (one batched call), and the
+    split of ``X``: ``dirac_eigs`` above ``TOL_PSD`` times its norm, their
+    eigenvectors ``dirac_range``, and ``dirac_null`` spanning the rest.
     ``U``, ``U'`` and :meth:`magnitude` are array expressions over the
     modes; they take a scalar or a vector of points, and a vector of ``n``
     points gives an ``(n, 6, 6)`` stack (``(n,)`` for the magnitude).
@@ -182,11 +184,19 @@ class CbfImage:
     rates: np.ndarray
     weights: np.ndarray
     norms: np.ndarray = field(init=False)
+    dirac_eigs: np.ndarray = field(init=False)
+    dirac_range: np.ndarray = field(init=False)
+    dirac_null: np.ndarray = field(init=False)
 
     def __post_init__(self):
         stack = np.concatenate([[self.dirac, self.constant], self.weights])
         object.__setattr__(self, "norms",
                            np.linalg.norm(stack, 2, axis=(1, 2)))
+        w, v = np.linalg.eigh(self.dirac)
+        above = w > TOL_PSD * self.norms[0]
+        object.__setattr__(self, "dirac_eigs", w[above])
+        object.__setattr__(self, "dirac_range", v[:, above])
+        object.__setattr__(self, "dirac_null", v[:, ~above])
 
     def _mode_sum(self, factors):
         """``sum_k factors[..., k] Z_k``."""
@@ -213,8 +223,9 @@ class CbfImage:
         return np.maximum(out, 1e-300)
 
     @property
-    def rate_scale(self):
-        return float(self.rates.max()) if self.rates.size else 1.0
+    def zero_pole_floor(self):
+        """Poles up to here count as at zero, in the pencil and the zero mass."""
+        return TOL_ZERO_POLE * (self.rates.max() if self.rates.size else 1.0)
 
 
 def cbf_image(kernel):
@@ -232,16 +243,22 @@ def image_pencil_roots(image):
         [Y + sum Z,  -sqrt(t) L] [v]       [-X   ] [v]
         [-sqrt(t) L^T,   t I   ] [w]  = p  [   -I] [w]
 
-    whose entries stay at the scale of the data.  The factors ``L_k`` of
+    whose entries stay at the scale of the data; the factors ``L_k`` of
     all modes come from one batched eigendecomposition of the weight
-    stack.  Finite eigenvalues with negative real part are the candidate
-    poles; splinters of the semisimple zero eigenvalue (present when ``Y``
-    is singular) are removed.  All candidates are polished together (see
-    :func:`_refine_roots`), then each cluster is confirmed against
-    ``U(-s)`` itself: a cluster where ``U(-s)`` stays regular is a pencil
-    artifact, not a pole of the inverse, and is dropped.  Genuine poles may
-    lie arbitrarily close to the source rates when a mode weight is nearly
-    singular, so no distance-to-rate filtering is applied.
+    stack.  With ``v = Q1 a + Q0 b`` (the split of ``X`` in
+    :class:`CbfImage`, ``Lambda1`` its eigenvalues on ``Q1``), the ``b``
+    rows carry no ``p``.  Their block ``Q0' (Y + sum Z) Q0`` is positive
+    definite under condition (*), and its Schur complement leaves the
+    definite pencil ``S y = -p D y`` over ``(a, w)`` with
+    ``D = diag(Lambda1, I)``.  The poles ``s = -p`` are the real
+    eigenvalues of ``D^-1/2 S D^-1/2``; those up to
+    :attr:`CbfImage.zero_pole_floor` are splinters of the zero eigenvalue
+    of a singular ``Y`` and are dropped.  All candidates are polished
+    together (see :func:`_refine_roots`), then each cluster is confirmed
+    against ``U(-s)`` itself: a cluster where ``U(-s)`` stays regular is a
+    pencil artifact, not a pole of the inverse, and is dropped.  Genuine
+    poles may lie arbitrarily close to the source rates when a mode weight
+    is nearly singular, so no distance-to-rate filtering is applied.
     """
     # Z_k = L_k L_k^T with L_k the eigenvectors of Z_k above its rank floor,
     # scaled by the root of their eigenvalue.
@@ -251,29 +268,19 @@ def image_pencil_roots(image):
     blocks = np.sqrt(image.rates)[:, None, None] * factors
     block = blocks.transpose(1, 0, 2).reshape(6, -1)[:, keep.ravel()]
     block_rates = np.repeat(image.rates, keep.sum(axis=1))
-    dim = 6 + block_rates.size
-    mm = np.zeros((dim, dim))
-    ww = np.zeros((dim, dim))
-    mm[:6, :6] = image.constant + image.weights.sum(axis=0)
-    mm[:6, 6:] = -block
-    mm[6:, :6] = -block.T
-    mm[6:, 6:] = np.diag(block_rates)
-    ww[:6, :6] = -image.dirac
-    ww[6:, 6:] = -np.eye(dim - 6)
 
-    rate_scale = image.rate_scale
-    eigvals = scipy.linalg.eigvals(mm, ww)
-    eigvals = eigvals[np.isfinite(eigvals)]
-    eigvals = eigvals[np.abs(eigvals) <= 1e12 * rate_scale]
-    eigvals = eigvals[eigvals.real < 0.0]
-    complex_ = np.abs(eigvals.imag) > TOL_IMAG * np.maximum(
-        np.abs(eigvals), rate_scale)
-    if np.any(complex_):
-        raise NumericsError(f"pencil eigenvalue {eigvals[complex_][0]:.6g} "
-                            "is not real within tolerance")
-    candidates = -eigvals.real
-    # splinters of the zero eigenvalue (singular Y)
-    candidates = candidates[candidates > 1e-9 * rate_scale]
+    # The pencil matrix on (a, w): ``rows`` are its v rows, whose Q1 and Q0
+    # parts are its a and b rows; a Cholesky factor eliminates the b rows.
+    q1, q0 = image.dirac_range, image.dirac_null
+    base = image.constant + image.weights.sum(axis=0)
+    rows = np.hstack([base @ q1, -block])
+    reduced = np.block([[q1.T @ rows], [-block.T @ q1, np.diag(block_rates)]])
+    coupling = np.linalg.solve(np.linalg.cholesky(q0.T @ base @ q0),
+                               q0.T @ rows)
+    reduced -= coupling.T @ coupling
+    root = 1.0 / np.sqrt(np.append(image.dirac_eigs, np.ones(block_rates.size)))
+    eigvals = np.linalg.eigvalsh(root[:, None] * reduced * root)
+    candidates = eigvals[eigvals > image.zero_pole_floor]
 
     # Polish every candidate before clustering: splinters of a multiple
     # eigenvalue then collapse onto the same refined value, while genuinely
@@ -384,7 +391,7 @@ def _clip_residues(stack, scale):
     return clipped, float(np.min(low, initial=0.0)) / scale
 
 
-def decompose_inverse(image, eigs=None):
+def decompose_inverse(image):
     """Stieltjes decomposition of ``U(p)^-1``.
 
     The pole-at-zero mass comes from the nullspace of ``U(0) = Y``; mode
@@ -396,29 +403,23 @@ def decompose_inverse(image, eigs=None):
     set the decomposition scale and the cancellation test, and the kept
     residues are clipped as one stack.
     """
-    if eigs is None:
-        eigs = image_pencil_roots(image)
+    eigs = image_pencil_roots(image)
 
     # A direction with Y-eigenvalue eps carries a pole at s ~ eps / v'U'(0)v.
     # Classify it as a pole at zero exactly when that implied location falls
-    # under the same threshold used to discard zero splinters in the pencil,
-    # so no pole is ever counted both here and as a finite mode.
-    delta = 1e-9 * image.rate_scale
-    w, v = np.linalg.eigh(image.constant) if image.norms[1] > 0.0 else (
-        np.zeros(6), np.eye(6))
+    # under the floor below which the pencil discards zero splinters, so no
+    # pole is ever counted both here and as a finite mode.
+    w, v = np.linalg.eigh(image.constant)
     slope = image.derivative(0.0)
-    null_y = v[:, w <= delta * np.sum(v * (slope @ v), axis=0)]
+    null_y = v[:, w <= image.zero_pole_floor * np.sum(v * (slope @ v), 0)]
     [zero_mass] = _nullspace_residues([null_y], slope[None])
 
     poles = np.array([s for s, _ in eigs], dtype=float)
     raw = _nullspace_residues([basis for _, basis in eigs],
                               image.derivative(-poles))
 
-    def evaluate(p):
-        return np.linalg.inv(image(p))
-
     p_star = 1.0 + 2.0 * (poles.max() if poles.size else 1.0)
-    probe = evaluate(p_star)
+    probe = np.linalg.inv(image(p_star))
     norms = np.linalg.norm(np.concatenate([[probe, zero_mass], raw]), 2,
                            axis=(1, 2))
     scale = float(norms.max())
@@ -432,20 +433,19 @@ def decompose_inverse(image, eigs=None):
     # nullspace of X (none when X is positive definite).  Projecting the
     # subtracted constant onto it removes the rounding left in the range of
     # X, which the short-time identity X C(0) = 0 would magnify.
-    w, v = np.linalg.eigh(image.dirac)
-    null_x = v[:, w <= TOL_PSD * image.norms[0]]
+    null_x = image.dirac_null
     if null_x.shape[1] == 0:
         constant = np.zeros((6, 6))
     else:
         core = null_x.T @ _constant_by_subtraction(
-            evaluate, zero_mass, modes, p_star, probe, scale) @ null_x
+            image, zero_mass, modes, p_star, probe, scale) @ null_x
         constant, low = _clip_residues(
             null_x @ (0.5 * (core + core.T)) @ null_x.T, scale)
         worst = min(worst, low)
     return MatrixStieltjesParts(constant, zero_mass, modes, worst)
 
 
-def _constant_by_subtraction(evaluate, zero_mass, modes, p_star, probe, scale):
+def _constant_by_subtraction(image, zero_mass, modes, p_star, probe, scale):
     rates = np.array([s for s, _ in modes])
     weights = np.array([w for _, w in modes]).reshape(-1, 36)
 
@@ -455,7 +455,7 @@ def _constant_by_subtraction(evaluate, zero_mass, modes, p_star, probe, scale):
 
     constant = tail(p_star, probe)
     p_check = 2.7 * p_star + 0.3
-    check = tail(p_check, evaluate(p_check))
+    check = tail(p_check, np.linalg.inv(image(p_check)))
     mismatch = matrix_norm(constant - check)
     if mismatch > TOL_CROSSCHECK * max(scale, matrix_norm(constant)):
         raise NumericsError(

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -165,6 +168,15 @@ class TestSampleCommand:
         assert run(["sample", str(solid_file), "--t0", "0", "--t1", "5",
                     "--n", "11", "--log"]) == 1
 
+    @pytest.mark.parametrize("bounds", [["--t0", "0", "--t1", "inf"],
+                                        ["--t0", "1", "--t1", "inf", "--log"],
+                                        ["--t0", "nan", "--t1", "1"]])
+    def test_non_finite_bounds_rejected(self, solid_file, bounds, capsys):
+        assert run(["sample", str(solid_file), "--n", "3", *bounds]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "t_end < inf" in captured.err
+
 
 class TestLimitsCommand:
     def test_text_output(self, solid_file, capsys):
@@ -221,6 +233,19 @@ class TestRespondCommand:
         }))
         assert run(["respond", str(solid_file), str(history)]) == 1
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_n_below_one_rejected(self, solid_file, tmp_path, count,
+                                   capsys):
+        history = tmp_path / "ramp.json"
+        history.write_text(json.dumps({
+            "kind": "strain",
+            "breakpoints": [{"t": 0.0, "value": 0.0},
+                            {"t": 2.0, "value": 1.0}],
+        }))
+        assert run(["respond", str(solid_file), str(history),
+                    "--n", count]) == 1
+        assert "--n must be at least 1" in capsys.readouterr().err
+
     def test_bad_history_kind(self, solid_file, tmp_path):
         history = tmp_path / "bad.json"
         history.write_text(json.dumps({"kind": "velocity",
@@ -260,3 +285,12 @@ class TestUsage:
         history = tmp_path / "broken.json"
         history.write_text("{not json")
         assert run(["respond", str(solid_file), str(history)]) == 2
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test dependency only; the package runs on numpy alone
+    src = os.path.dirname(os.path.dirname(os.path.abspath(viscodual.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, viscodual.cli; sys.exit('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert done.returncode == 0

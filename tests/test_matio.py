@@ -165,6 +165,14 @@ class TestSampleToCsv:
         k = ScalarCreep.make(instantaneous=1.0)
         assert sample_to_csv(k, 0.0, 1.0, 2).count("\n") == 3
 
+    @pytest.mark.parametrize("start, end, spacing", [
+        (0.0, np.inf, "linear"), (1.0, np.inf, "log"),
+        (np.nan, 1.0, "linear"), (-np.inf, 1.0, "linear")])
+    def test_non_finite_bounds_rejected(self, start, end, spacing):
+        k = ScalarCreep.make(instantaneous=1.0)
+        with pytest.raises(ValueError, match="t_end < inf"):
+            sample_to_csv(k, start, end, 3, spacing=spacing)
+
     def test_count_and_spacing_validated(self):
         k = ScalarCreep.make(instantaneous=1.0)
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import viscodual
 from viscodual import (
@@ -32,6 +33,7 @@ from kernel_corpus import (
     random_matrix_relaxation,
     random_scalar_creep,
     random_scalar_relaxation,
+    rate_set,
 )
 
 
@@ -362,6 +364,106 @@ def test_norm_count_is_linear_in_modes(monkeypatch):
     dual = viscodual.dualize(k)
     assert len(dual.modes) == 48
     assert len(calls) <= len(k.modes) + 8
+
+
+def _qz_pencil_poles(image):
+    """Poles from general QZ on the full pencil: the reference search.
+
+    The pencil ``mm z = p ww z`` holds ``X`` on the right-hand side as it
+    is, so no direction of ``X`` is eliminated.  Factors, splinter cut,
+    polish, clustering and nullspace test are those of
+    ``image_pencil_roots``; only the eigensolve differs.  Returns
+    ``(location, nullspace width)`` pairs.
+    """
+    w, v = np.linalg.eigh(image.weights)
+    keep = w > 1e-14 * np.maximum(w[:, -1:], 1e-300)
+    factors = v * np.sqrt(np.where(keep, w, 0.0))[:, None, :]
+    blocks = np.sqrt(image.rates)[:, None, None] * factors
+    block = blocks.transpose(1, 0, 2).reshape(6, -1)[:, keep.ravel()]
+    block_rates = np.repeat(image.rates, keep.sum(axis=1))
+    dim = 6 + block_rates.size
+    mm = np.zeros((dim, dim))
+    ww = np.zeros((dim, dim))
+    mm[:6, :6] = image.constant + image.weights.sum(axis=0)
+    mm[:6, 6:] = -block
+    mm[6:, :6] = -block.T
+    mm[6:, 6:] = np.diag(block_rates)
+    ww[:6, :6] = -image.dirac
+    ww[6:, 6:] = -np.eye(dim - 6)
+
+    rate_scale = image.rates.max()
+    eigvals = scipy.linalg.eigvals(mm, ww)
+    eigvals = eigvals[np.isfinite(eigvals)]
+    eigvals = eigvals[np.abs(eigvals) <= 1e12 * rate_scale]
+    eigvals = eigvals[eigvals.real < 0.0]
+    assert np.all(np.abs(eigvals.imag)
+                  <= 1e-6 * np.maximum(np.abs(eigvals), rate_scale))
+    candidates = -eigvals.real
+    candidates = candidates[candidates > 1e-9 * rate_scale]
+    candidates = np.sort(_refine_roots(image, candidates))
+    if not candidates.size:
+        return []
+    starts = np.flatnonzero(np.concatenate(
+        [[True], np.diff(candidates) > TOL_CLUSTER * candidates[1:]]))
+    means = np.add.reduceat(candidates, starts) / np.diff(
+        np.append(starts, candidates.size))
+    return [(float(s), basis.shape[1]) for s, basis
+            in zip(means, _image_nullspace(image, means)) if basis.shape[1]]
+
+
+def _dirac_part(rng, pattern):
+    if pattern == "zero":
+        return np.zeros((6, 6))
+    if pattern == "conditioned":
+        q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        m = (q * np.geomspace(1.0, 1e-4, 6)) @ q.T
+        return 0.5 * (m + m.T)
+    return random_gram(rng, 6 if pattern == "full" else int(pattern))
+
+
+class TestSymmetricPencilAgainstQZ:
+    """The reduced symmetric eigensolve finds what general QZ finds."""
+
+    @pytest.mark.parametrize("dirac", ["zero", "1", "2", "3", "4", "5",
+                                       "conditioned", "full"])
+    def test_same_poles_as_qz(self, dirac):
+        rng = np.random.default_rng([38, len(dirac), ord(dirac[0])])
+        compared = 0
+        while compared < 12:
+            # every other kernel has only rank-deficient weights; the
+            # equilibrium is zero, singular or full
+            top = 7 if compared % 2 else 4
+            modes = [(r, random_gram(rng, int(rng.integers(1, top))))
+                     for r in rate_set(rng, int(rng.integers(1, 6)))]
+            k = MatrixRelaxation.make(
+                newtonian=_dirac_part(rng, dirac),
+                equilibrium=random_gram(rng, compared % 3 * 3),
+                modes=modes)
+            if not k.satisfies_positivity():
+                continue
+            image = cbf_image(k)
+            got = image_pencil_roots(image)
+            expected = _qz_pencil_poles(image)
+            assert [b.shape[1] for _, b in got] == [d for _, d in expected]
+            np.testing.assert_allclose([s for s, _ in got],
+                                       [s for s, _ in expected], rtol=1e-9)
+            compared += 1
+
+    def test_dirac_split(self):
+        rng = np.random.default_rng(39)
+        for rank in range(7):
+            image = cbf_image(MatrixRelaxation.make(
+                newtonian=random_gram(rng, rank), equilibrium=np.eye(6)))
+            q1, q0 = image.dirac_range, image.dirac_null
+            assert q1.shape == (6, rank) and q0.shape == (6, 6 - rank)
+            basis = np.hstack([q1, q0])
+            np.testing.assert_allclose(basis.T @ basis, np.eye(6),
+                                       atol=1e-14)
+            size = max(image.norms[0], 1e-300)
+            np.testing.assert_allclose(q1.T @ image.dirac @ q1,
+                                       np.diag(image.dirac_eigs),
+                                       atol=1e-13 * size)
+            assert np.linalg.norm(image.dirac @ q0) <= 1e-10 * size
 
 
 class TestImagePencil:
