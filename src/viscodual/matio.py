@@ -19,17 +19,16 @@ from .kernels import (
     MatrixRelaxation,
     ScalarCreep,
     ScalarRelaxation,
-    eval_creep,
-    eval_relaxation,
     near_coincident,
 )
+from .verify import BLOCK_ELEMENTS, kernel_values
 
 
 class MaterialFormatError(ValueError):
     """Material document violates the schema."""
 
 
-_UPPER_TRIANGLE = [(i, j) for i in range(6) for j in range(i, 6)]
+_UPPER_ROWS, _UPPER_COLS = np.triu_indices(6)
 
 
 # ---------------------------------------------------------------------------
@@ -193,19 +192,20 @@ def sample_to_csv(kernel, t_start, t_end, count, spacing="linear"):
     else:
         raise ValueError("spacing must be 'linear' or 'log'")
 
-    matrix = isinstance(kernel, (MatrixRelaxation, MatrixCreep))
-    relax = isinstance(kernel, (ScalarRelaxation, MatrixRelaxation))
-    evaluate = eval_relaxation if relax else eval_creep
-    if matrix:
-        header = "t," + ",".join(f"v{i + 1}{j + 1}" for i, j in _UPPER_TRIANGLE)
+    if isinstance(kernel, (MatrixRelaxation, MatrixCreep)):
+        header = "t," + ",".join(f"v{i + 1}{j + 1}"
+                                 for i, j in zip(_UPPER_ROWS, _UPPER_COLS))
+        columns = (_UPPER_ROWS, _UPPER_COLS)
     else:
         header = "t,value"
+        columns = ([0], [0])
     lines = [header]
-    for t in grid:
-        value = evaluate(kernel, t)
-        if matrix:
-            cells = [value[i, j] for i, j in _UPPER_TRIANGLE]
-        else:
-            cells = [value]
-        lines.append(",".join([_fmt(t)] + [_fmt(c) for c in cells]))
+    # a block's 6x6 values and the few temporaries of their sum fit in
+    # BLOCK_ELEMENTS together
+    step = BLOCK_ELEMENTS // (4 * 36)
+    for lo in range(0, grid.size, step):
+        times = grid[lo:lo + step]
+        cells = kernel_values(kernel, times)[:, columns[0], columns[1]]
+        for row in np.column_stack([times, cells]):
+            lines.append(",".join(_fmt(x) for x in row.tolist()))
     return "\n".join(lines) + "\n"

@@ -1,10 +1,23 @@
-"""Independent checks on kernels and kernel pairs.
+"""Independent checks on kernels and kernel pairs, and time-axis responses.
 
 The central identity is the time-domain duality ``(R * C)(t) = t`` (or
 ``t * I`` for 6x6 kernels), evaluated here in closed form: every term of
 the convolution is an exponential against a constant, linear or
 exponential factor and has an elementary antiderivative.  Quadrature never
 enters the checks; it exists only as a test oracle for this module.
+
+The checks are stacked numpy over the whole time grid.  Each kernel
+enters as the arrays ``(X, Y, rates, weights)`` of
+:func:`rational.cbf_as_rational`, with a scalar kernel as the ``1x1``
+case.  The convolution at all grid times is one ``(T, K, J)`` broadcast
+over relaxation modes ``k`` and creep modes ``j`` against the products of
+their weights, taken in blocks of rows so that no temporary outgrows
+:data:`BLOCK_ELEMENTS`, and the residual grid runs from ``1e-3/r_max`` to
+``1e3/r_min``, so every mode of both kernels has decayed inside it.  The
+well-formedness samples keep the pointwise arithmetic bit for bit (see
+:func:`kernel_values`).  The responses to a piecewise-linear history
+(:func:`respond`, :func:`respond_creep`) are still summed one time at a
+time, window by window.
 """
 
 from __future__ import annotations
@@ -14,21 +27,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import (
-    MatrixCreep,
-    MatrixRelaxation,
+    CREEP_KINDS,
+    RELAXATION_KINDS,
+    TOL_PSD,
     ScalarCreep,
     ScalarRelaxation,
     eval_creep,
     eval_relaxation,
     is_pd,
-    is_psd,
     matrix_norm,
     max_rate,
 )
+from .rational import cbf_as_rational
 
 TOL_CM = 1e-9         # relative slack for sampled sign-alternation checks
 TOL_EQUAL_RATE = 1e-8  # |r - s| t below which the degenerate branch is used
 TOL_LIMITS = 1e-8      # default tolerance for the boundary-value identities
+GRID_STEPS_PER_DECADE = 16.0 / 3.0  # 32 steps over the 6 decades of one rate
+BLOCK_ELEMENTS = 1 << 16  # float64 elements (512 KiB) in one blocked temporary
 
 
 # ---------------------------------------------------------------------------
@@ -83,14 +99,62 @@ class _ReportBuilder:
 
 
 # ---------------------------------------------------------------------------
+# Kernels on a time grid
+# ---------------------------------------------------------------------------
+
+def _image(kernel):
+    """``(X, Y, rates, weights)`` with ``X, Y`` as ``d x d`` and the weights
+    as ``(K, d, d)``; ``d`` is 1 for a scalar kernel."""
+    X, Y, rates, weights = cbf_as_rational(kernel)
+    d = X.shape[0] if X.ndim else 1
+    return X.reshape(d, d), Y.reshape(d, d), rates, weights.reshape(-1, d, d)
+
+
+def _checked_times(times):
+    t = np.asarray(times, dtype=float).reshape(-1)
+    if np.any(t < 0.0):
+        raise ValueError("time must be nonnegative")
+    return t
+
+
+def kernel_values(kernel, times):
+    """Continuous part of a kernel at every time, as a ``(T, d, d)`` stack.
+
+    Each entry is, to the last bit, what :func:`eval_relaxation` or
+    :func:`eval_creep` returns at that time: only the time axis is
+    vectorized, and the modes are added one at a time in rate order, with
+    the association each kernel kind uses there.  The order-3 alternation
+    check of :func:`check_wellformed` turns on the last bit of these
+    values, so a reordered sum can reject a right dual.
+    """
+    t = _checked_times(times)
+    X, Y, rates, weights = _image(kernel)
+    relax = isinstance(kernel, RELAXATION_KINDS)
+    scalar = X.shape == (1, 1)
+    col = t[:, None, None]
+    base = np.zeros_like(col) + Y if relax else X + col * Y
+    total = 0 if scalar else base
+    for r, w in zip(rates, weights):
+        if relax:
+            term = np.exp(-r * t)[:, None, None] * w
+        elif scalar:
+            term = (w / r) * -np.expm1(-r * t)[:, None, None]
+        else:
+            term = (-np.expm1(-r * t) / r)[:, None, None] * w
+        total = total + term
+    return base + total if scalar else total
+
+
+# ---------------------------------------------------------------------------
 # Well-formedness
 # ---------------------------------------------------------------------------
 
 def _divided_differences(times, values, order):
+    """Divided differences along the last axis, one row per sample set."""
     d = np.array(values, dtype=float)
     t = np.asarray(times, dtype=float)
     for k in range(order):
-        d = (d[1:] - d[:-1]) / (t[k + 1:] - t[:-(k + 1)])
+        d = (d[..., 1:] - d[..., :-1]) / (t[k + 1:] - t[:-(k + 1)])
     return d
 
 _PROBE_VECTORS = np.vstack([np.eye(6), np.full((1, 6), 1.0 / np.sqrt(6.0))])
@@ -101,60 +165,63 @@ def _alternation_checks(rep, times, samples, decreasing):
 
     Divided differences of a completely monotone function alternate in sign
     on any increasing grid; a Bernstein function is nonnegative with the
-    alternation shifted by one order.
+    alternation shifted by one order.  ``samples`` holds one row per probe.
     """
     for order in range(4):
         if decreasing:
             sign = (-1.0) ** order
         else:
             sign = 1.0 if order == 0 else (-1.0) ** (order + 1)
-        worst = 0.0
-        for values in samples:
-            d = sign * _divided_differences(times, values, order)
-            floor = TOL_CM * (np.max(np.abs(d)) + 1e-300)
-            deficit = max(0.0, float(-np.min(d))) / floor
-            worst = max(worst, deficit)
+        d = sign * _divided_differences(times, samples, order)
+        floor = TOL_CM * (np.max(np.abs(d), axis=-1) + 1e-300)
+        deficit = np.maximum(0.0, -np.min(d, axis=-1)) / floor
         # Deficit is measured in units of the tolerance floor; <= 1 passes.
-        rep.add(f"sampled-alternation-order-{order}", worst, 1.0)
+        # A NaN row never raises the worst value, as with builtin max.
+        rep.add(f"sampled-alternation-order-{order}",
+                max([0.0, *deficit.tolist()]), 1.0)
+
+
+def _psd_flags(stack):
+    """:func:`kernels.is_psd` of every matrix in a stack, from one batched
+    norm and one batched eigenvalue call."""
+    norms = np.linalg.norm(stack, 2, axis=(1, 2))
+    asym = np.max(np.abs(stack - np.swapaxes(stack, 1, 2)), axis=(1, 2))
+    lowest = np.linalg.eigvalsh(0.5 * (stack + np.swapaxes(stack, 1, 2)))[:, 0]
+    return (norms == 0.0) | ((asym <= TOL_PSD * norms)
+                             & (lowest >= -TOL_PSD * norms))
 
 
 def check_wellformed(kernel):
     """Structural and sampled shape checks; failures are report entries."""
     rep = _ReportBuilder()
-    is_relax = isinstance(kernel, (ScalarRelaxation, MatrixRelaxation))
-    is_matrix = isinstance(kernel, (MatrixRelaxation, MatrixCreep))
+    is_relax = isinstance(kernel, RELAXATION_KINDS)
+    X, Y, rates, weights = _image(kernel)
+    is_matrix = X.shape != (1, 1)
 
-    rates = [r for r, _ in kernel.modes]
-    rep.add("rates-positive", 0.0 if all(r > 0 for r in rates) else 1.0, 0.5)
+    rep.add("rates-positive", 0.0 if np.all(rates > 0) else 1.0, 0.5)
     rep.add("rates-sorted-distinct",
-            0.0 if all(a < b for a, b in zip(rates, rates[1:])) else 1.0, 0.5)
+            0.0 if np.all(rates[:-1] < rates[1:]) else 1.0, 0.5)
     if is_matrix:
-        weights_ok = all(is_psd(np.asarray(w)) for _, w in kernel.modes)
-        rep.add("weights-psd", 0.0 if weights_ok else 1.0, 0.5)
-        if is_relax:
-            coef_ok = (is_psd(kernel.newtonian) and is_psd(kernel.equilibrium))
-        else:
-            coef_ok = (is_psd(kernel.instantaneous) and is_psd(kernel.fluidity))
-        rep.add("coefficients-psd", 0.0 if coef_ok else 1.0, 0.5)
+        psd = _psd_flags(np.concatenate([X[None], Y[None], weights]))
+        rep.add("weights-psd", 0.0 if psd[2:].all() else 1.0, 0.5)
+        rep.add("coefficients-psd", 0.0 if psd[:2].all() else 1.0, 0.5)
     else:
-        weights_ok = all(w > 0 for _, w in kernel.modes)
-        rep.add("weights-positive", 0.0 if weights_ok else 1.0, 0.5)
-        if is_relax:
-            coef_ok = kernel.newtonian >= 0 and kernel.equilibrium >= 0
-        else:
-            coef_ok = kernel.instantaneous >= 0 and kernel.fluidity >= 0
+        rep.add("weights-positive", 0.0 if np.all(weights > 0) else 1.0, 0.5)
+        coef_ok = X[0, 0] >= 0 and Y[0, 0] >= 0
         rep.add("coefficients-nonnegative", 0.0 if coef_ok else 1.0, 0.5)
 
     structural_ok = all(e.passed for e in rep.entries)
     if structural_ok:
         rmax = max_rate(kernel)
         times = np.geomspace(1e-3 / rmax, 1e3 / rmax, 64)
-        evaluate = eval_relaxation if is_relax else eval_creep
+        values = kernel_values(kernel, times)
         if is_matrix:
-            mats = [evaluate(kernel, t) for t in times]
-            samples = [[v @ m @ v for m in mats] for v in _PROBE_VECTORS]
+            # (1x6)@(6x6)@(6x1) per probe and time: the same BLAS calls,
+            # and so the same bits, as ``v @ m @ v`` one matrix at a time
+            probes = _PROBE_VECTORS[:, None, :] @ values[:, None]
+            samples = (probes @ _PROBE_VECTORS[:, :, None])[..., 0, 0].T
         else:
-            samples = [[evaluate(kernel, t) for t in times]]
+            samples = values[None, :, 0, 0]
         _alternation_checks(rep, times, samples, decreasing=is_relax)
     return rep.report()
 
@@ -163,80 +230,106 @@ def check_wellformed(kernel):
 # Closed-form convolution
 # ---------------------------------------------------------------------------
 
+def _decay(rates, t):
+    """``int_0^t exp(-r u) du = -expm1(-r t)/r`` as a ``(T, K)`` array."""
+    return -np.expm1(-np.multiply.outer(t, rates)) / rates
+
+
 def _conv_exp_exp(r, s, t):
-    """``int_0^t exp(-r u) exp(-s (t-u)) du`` with the equal-rate branch.
+    """``int_0^t exp(-r u) exp(-s (t-u)) du`` as a ``(T, K, J)`` array.
 
     Written as ``exp(-lo t) * (1 - exp(-(hi-lo) t)) / (hi - lo)`` so the
     expm1 argument is nonpositive and nothing overflows for large ``t``.
+    Where ``(hi - lo) t`` is below ``TOL_EQUAL_RATE`` a series replaces the
+    quotient, and those entries are never divided by the gap.  Two
+    ``(T, K, J)`` arrays are live at a time.
     """
-    lo, hi = (r, s) if r <= s else (s, r)
-    gap = hi - lo
-    if gap * t < TOL_EQUAL_RATE:
-        x = gap * t
-        return t * np.exp(-lo * t) * (1.0 - x / 2.0 + x * x / 6.0)
-    return -np.exp(-lo * t) * np.expm1(-gap * t) / gap
+    lo = np.minimum.outer(r, s)
+    gap = np.abs(np.subtract.outer(r, s))
+    out = np.multiply.outer(t, gap)
+    near = out < TOL_EQUAL_RATE
+    np.expm1(np.negative(out, out=out), out=out)
+    np.divide(out, -gap, out=out, where=~near)
+    damping = np.multiply.outer(t, lo)
+    out *= np.exp(np.negative(damping, out=damping), out=damping)
+    i, k, j = np.nonzero(near)
+    x = gap[k, j] * t[i]
+    out[i, k, j] = (t[i] * np.exp(-lo[k, j] * t[i])
+                    * (1.0 - x / 2.0 + x * x / 6.0))
+    return out
 
 
-def _creep_pieces(c):
-    """Creep kernel as constant + linear + exponentials: ``c0 + D t + sum w e``."""
-    if isinstance(c, ScalarCreep):
-        c0 = c.instantaneous + sum(w / r for r, w in c.modes)
-        exps = [(r, -w / r) for r, w in c.modes]
-        return c0, c.fluidity, exps
-    c0 = np.array(c.instantaneous)
-    exps = []
-    for r, h in c.modes:
-        c0 += h / r
-        exps.append((r, -h / r))
-    return c0, np.array(c.fluidity), exps
+def _convolution_values(relaxation, creep, t):
+    """``(R * C)(t)`` at every time of ``t`` as a ``(T, d, d)`` stack.
+
+    With ``C(t) = c0 + D t + sum_j w_j exp(-s_j t)`` (``c0 = A + sum h/s``,
+    ``w_j = -h_j/s_j``), every term is a scalar function of ``t`` times a
+    product of coefficients.  The functions of single modes form one
+    ``(T, N)`` matrix against an ``(N, d, d)`` stack of products.  The
+    mode pairs are one ``(T, K, J)`` broadcast against the ``(K, J, d, d)``
+    products ``m_k w_j``, taken in blocks of rows of at most
+    ``BLOCK_ELEMENTS`` elements.
+    """
+    if not (isinstance(relaxation, RELAXATION_KINDS)
+            and isinstance(creep, CREEP_KINDS)):
+        raise TypeError("expected a relaxation and a creep kernel")
+    beta, a, r, m = _image(relaxation)
+    A, D, s, h = _image(creep)
+    if beta.shape != A.shape:
+        raise TypeError("relaxation and creep kernels have incompatible kinds")
+    hs = h / s[:, None, None]
+    c0 = A + np.sum(hs, axis=0)
+    w = -hs
+    decay = _decay(r, t)
+    functions = [np.ones_like(t)[:, None], t[:, None], (t * t / 2.0)[:, None],
+                 _decay(s, t), decay, (t[:, None] - decay) / r]
+    products = [(beta @ A)[None], (beta @ D + a @ c0)[None], (a @ D)[None],
+                beta @ h + a @ w, m @ c0, m @ D]
+    d2 = A.size
+    value = (np.concatenate(functions, axis=1)
+             @ np.concatenate(products).reshape(-1, d2))
+    pairs = r.size * s.size
+    pair_products = (m[:, None] @ w[None]).reshape(pairs, d2)
+    step = max(1, BLOCK_ELEMENTS // max(pairs, 1))
+    for lo in range(0, t.size, step):
+        rows = t[lo:lo + step]
+        value[lo:lo + step] += (_conv_exp_exp(r, s, rows).reshape(
+            rows.size, pairs) @ pair_products)
+    return value.reshape(t.size, *A.shape)
 
 
 def convolution_value(relaxation, creep, t):
     """``(R * C)(t)`` in closed form; equals ``t`` (or ``t I``) for dual pairs."""
-    scalar = isinstance(relaxation, ScalarRelaxation)
-    if scalar != isinstance(creep, ScalarCreep):
-        raise TypeError("relaxation and creep kernels have incompatible kinds")
-    t = float(t)
-    mul = (lambda x, y: x * y) if scalar else (lambda x, y: x @ y)
-    beta = relaxation.newtonian
-    a = relaxation.equilibrium
-    c0, lin, exps = _creep_pieces(creep)
-
-    out = mul(beta, eval_creep(creep, t))
-    out = out + mul(a, c0) * t + mul(a, lin) * (t * t / 2.0)
-    for s, w in exps:
-        out = out + mul(a, w) * (-np.expm1(-s * t) / s)
-    for r, m in relaxation.modes:
-        decay = -np.expm1(-r * t) / r
-        out = out + mul(m, c0) * decay
-        out = out + mul(m, lin) * (t / r - decay / r)
-        for s, w in exps:
-            out = out + mul(m, w) * _conv_exp_exp(r, s, t)
-    return out
+    value = _convolution_values(relaxation, creep, _checked_times(float(t)))[0]
+    return float(value[0, 0]) if value.shape == (1, 1) else value
 
 
 def default_time_grid(relaxation, creep, count=33):
+    """Log-spaced times from ``1e-3/r_max`` to ``1e3/r_min``.
+
+    ``r_min`` is the slowest rate of either kernel, so the grid reaches
+    past the decay of every mode; ``r_max`` is as in :func:`max_rate`.
+    The grid has ``GRID_STEPS_PER_DECADE`` steps per decade and at least
+    ``count`` points.
+    """
     rmax = max(max_rate(relaxation), max_rate(creep))
-    return np.geomspace(1e-3 / rmax, 1e3 / rmax, count)
+    rmin = min((r for k in (relaxation, creep) for r, _ in k.modes),
+               default=rmax)
+    decades = 6.0 + np.log10(rmax / rmin)
+    points = max(count, int(np.ceil(GRID_STEPS_PER_DECADE * decades)) + 1)
+    return np.geomspace(1e-3 / rmax, 1e3 / rmin, points)
 
 
 def duality_residual(relaxation, creep, grid=None):
     """Max relative deviation of ``(R * C)(t)`` from ``t`` over the grid."""
     if grid is None:
         grid = default_time_grid(relaxation, creep)
-    scalar = isinstance(relaxation, ScalarRelaxation)
+    t = _checked_times(grid)
+    value = _convolution_values(relaxation, creep, t)
+    eye = np.eye(value.shape[-1])
+    err = np.linalg.norm(value - t[:, None, None] * eye, 2, axis=(1, 2))
     rmax = max(max_rate(relaxation), max_rate(creep))
-    t_floor = 1e-6 / rmax
-    worst = 0.0
-    eye = None if scalar else np.eye(6)
-    for t in grid:
-        value = convolution_value(relaxation, creep, t)
-        if scalar:
-            err = abs(value - t)
-        else:
-            err = matrix_norm(value - t * eye)
-        worst = max(worst, err / max(t, t_floor))
-    return worst
+    return float(np.max(err / np.maximum(t, 1e-6 / rmax), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +512,7 @@ def respond(kernel, history, times):
     The Dirac part contributes ``beta * strain_rate`` pointwise, plus an
     impulse annotation ``beta * jump`` when the history jumps at t = 0.
     """
-    if not isinstance(kernel, (ScalarRelaxation, MatrixRelaxation)):
+    if not isinstance(kernel, RELAXATION_KINDS):
         raise TypeError("respond requires a relaxation kernel")
     scalar = isinstance(kernel, ScalarRelaxation)
     if scalar != history.scalar:
@@ -447,7 +540,7 @@ def respond(kernel, history, times):
 
 def respond_creep(kernel, history, times):
     """Strain response of a creep kernel to a stress history."""
-    if not isinstance(kernel, (ScalarCreep, MatrixCreep)):
+    if not isinstance(kernel, CREEP_KINDS):
         raise TypeError("respond_creep requires a creep kernel")
     if isinstance(kernel, ScalarCreep) != history.scalar:
         raise ValueError("kernel and history dimensions do not match")

@@ -147,6 +147,24 @@ class TestDualityResidual:
         assert grid[0] == pytest.approx(1e-4)
         assert grid[-1] == pytest.approx(1e2)
 
+    def test_default_grid_reaches_slowest_mode(self):
+        r = ScalarRelaxation.make(modes=[(1e-4, 1.0), (10.0, 1.0)])
+        c = dualize(r)
+        slowest = min(rate for k in (r, c) for rate, _ in k.modes)
+        grid = default_time_grid(r, c)
+        assert grid[0] == pytest.approx(1e-3 / 10.0)
+        assert grid[-1] == pytest.approx(1e3 / slowest)
+        decades = np.log10(grid[-1] / grid[0])
+        assert len(grid) - 1 >= 16.0 / 3.0 * decades
+
+    def test_wide_pair_missing_its_slowest_mode_detected(self):
+        r = ScalarRelaxation.make(modes=[(10.0 ** k, 1.0)
+                                         for k in range(-8, 9)])
+        c = dualize(r)
+        assert duality_residual(r, c) < 1e-12
+        wrong = ScalarCreep.make(c.instantaneous, c.fluidity, c.modes[1:])
+        assert duality_residual(r, wrong) > 0.1
+
 
 class TestLimitIdentities:
     def test_scalar_solid_pair(self):
