@@ -15,12 +15,9 @@ import numpy as np
 
 from .duality import dualize
 from .kernels import (
-    CREEP_KINDS,
-    RELAXATION_KINDS,
     EigenstressBasis,
     InvalidKernel,
     NumericsError,
-    ScalarRelaxation,
     UNBOUNDED,
     assemble_eigenstress,
     creep_limits,
@@ -124,7 +121,7 @@ def _cmd_check(args):
         other = parse_material(_read(args.against))
         relax, creep = _orient_pair(kernel, other)
         entries += list(check_wellformed(other).entries)
-        scalar = isinstance(relax, ScalarRelaxation)
+        scalar = np.ndim(relax.newtonian) == 0
         tol = args.tol if args.tol is not None else (1e-9 if scalar else 1e-7)
         residual = float(duality_residual(relax, creep))
         entries.append(CheckEntry("duality-residual", residual <= tol,
@@ -143,10 +140,8 @@ def _cmd_check(args):
 
 
 def _orient_pair(first, second):
-    if isinstance(first, RELAXATION_KINDS) and isinstance(second, CREEP_KINDS):
-        return first, second
-    if isinstance(first, CREEP_KINDS) and isinstance(second, RELAXATION_KINDS):
-        return second, first
+    if first.relaxation != second.relaxation:
+        return (first, second) if first.relaxation else (second, first)
     raise InvalidKernel(
         "a dual pair needs one relaxation and one creep kernel")
 
@@ -161,10 +156,8 @@ def _cmd_sample(args):
 
 def _cmd_limits(args):
     kernel = parse_material(_read(args.input))
-    if isinstance(kernel, RELAXATION_KINDS):
-        report = relaxation_limits(kernel)
-    else:
-        report = creep_limits(kernel)
+    limits = relaxation_limits if kernel.relaxation else creep_limits
+    report = limits(kernel)
     fields = ["value_at_zero", "value_at_infinity", "derivative_at_zero",
               "derivative_at_infinity", "dirac"]
     payload = {name: _render(getattr(report, name)) for name in fields}
@@ -180,18 +173,22 @@ def _cmd_limits(args):
 
 def _parse_history(text):
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise MaterialFormatError("history document must be an object")
     kind = doc.get("kind")
     if kind not in ("strain", "stress"):
         raise MaterialFormatError("history kind must be 'strain' or 'stress'")
     points = doc.get("breakpoints")
-    if not isinstance(points, list) or not points:
-        raise MaterialFormatError("history needs a nonempty breakpoints list")
-    times = [p["t"] for p in points]
-    values = [p["value"] for p in points]
+    if (not isinstance(points, list) or not points
+            or not all(isinstance(p, dict) and {"t", "value"} <= set(p)
+                       for p in points)):
+        raise MaterialFormatError("history needs a nonempty breakpoints "
+                                  "list of objects with 't' and 'value'")
     try:
-        history = StrainHistory(tuple(times), tuple(values),
+        history = StrainHistory(tuple(p["t"] for p in points),
+                                tuple(p["value"] for p in points),
                                 initial_jump=doc.get("initial_jump"))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise MaterialFormatError(str(exc)) from None
     return kind, history
 
@@ -206,11 +203,11 @@ def _cmd_respond(args):
     else:
         times = history.times
     if kind == "strain":
-        if not isinstance(kernel, RELAXATION_KINDS):
+        if not kernel.relaxation:
             raise InvalidKernel("a strain history needs a relaxation kernel")
         series = respond(kernel, history, times)
     else:
-        if not isinstance(kernel, CREEP_KINDS):
+        if kernel.relaxation:
             raise InvalidKernel("a stress history needs a creep kernel")
         series = respond_creep(kernel, history, times)
 

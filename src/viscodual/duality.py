@@ -2,7 +2,7 @@
 
 The conversions are computed exactly in coefficient space.  Every kernel
 has the complete Bernstein image ``U(p) = p X + Y + sum Z_k p/(p + t_k)``
-(see :func:`viscodual.rational.cbf_as_rational`); its reciprocal is a
+(see :func:`viscodual.kernels.cbf_as_rational`); its reciprocal is a
 Stieltjes function with interlaced negative poles, and its constant, its
 mass at zero and its poles with their residues are the dual kernel's
 coefficients.  Both directions are therefore the same problem.  No
@@ -17,9 +17,9 @@ from .kernels import (
     MatrixRelaxation,
     ScalarCreep,
     ScalarRelaxation,
+    cbf_as_rational,
 )
 from .rational import (
-    cbf_as_rational,
     cbf_image,
     decompose_inverse,
     interlaced_roots,
@@ -51,48 +51,45 @@ def dualize_creep_to_relaxation(kernel):
     return _dualize_scalar(kernel, ScalarRelaxation)
 
 
-def dualize_matrix_relaxation_to_creep(kernel):
-    """6x6 analogue: ``p Rtilde(p) = p^-1 Ctilde(p)^-1``.
+def _dualize_matrix(kernel, dual_kind):
+    """6x6 dual from the Stieltjes decomposition of ``U(p)^-1``.
 
-    Requires condition (*): ``N + B + sum G_k`` positive definite, which in
-    the discrete class is equivalent to no direction having an identically
-    vanishing kernel projection.
+    Requires ``X + Y + sum Z_k`` positive definite: condition (*) on
+    relaxation data, (**) on creep data.  In the discrete class this is
+    equivalent to no direction having an identically vanishing kernel
+    projection, that is, to every direction having a constitutive response
+    at some time scale.
     """
     if not kernel.satisfies_positivity():
         raise InvalidKernel(
-            "condition (*) fails: N + B + sum G_k is not positive definite")
+            "condition (*) fails: N + B + sum G_k is not positive definite"
+            if kernel.relaxation else
+            "condition (**) fails: A + D + sum H_j is not positive definite")
     parts = decompose_inverse(cbf_image(kernel))
-    return MatrixCreep.make(
-        instantaneous=parts.constant,
-        fluidity=parts.zero_mass,
-        modes=parts.modes)
+    return dual_kind.make(parts.constant, parts.zero_mass, parts.modes)
+
+
+def dualize_matrix_relaxation_to_creep(kernel):
+    """6x6 analogue: ``p Rtilde(p) = p^-1 Ctilde(p)^-1``."""
+    return _dualize_matrix(kernel, MatrixCreep)
 
 
 def dualize_matrix_creep_to_relaxation(kernel):
-    """Mirror 6x6 conversion, creep to relaxation.
+    """Mirror 6x6 conversion, creep to relaxation."""
+    return _dualize_matrix(kernel, MatrixRelaxation)
 
-    The positivity hypothesis is read on the creep data: ``A + D + sum H_j``
-    must be positive definite, otherwise some stress direction has no
-    constitutive response at any time scale.
-    """
-    if not kernel.satisfies_positivity():
-        raise InvalidKernel(
-            "condition (**) fails: A + D + sum H_j is not positive definite")
-    parts = decompose_inverse(cbf_image(kernel))
-    return MatrixRelaxation.make(
-        newtonian=parts.constant,
-        equilibrium=parts.zero_mass,
-        modes=parts.modes)
+
+_CONVERSIONS = {
+    ScalarRelaxation: dualize_relaxation_to_creep,
+    ScalarCreep: dualize_creep_to_relaxation,
+    MatrixRelaxation: dualize_matrix_relaxation_to_creep,
+    MatrixCreep: dualize_matrix_creep_to_relaxation,
+}
 
 
 def dualize(kernel):
     """Dispatch to the conversion matching the kernel type."""
-    if isinstance(kernel, ScalarRelaxation):
-        return dualize_relaxation_to_creep(kernel)
-    if isinstance(kernel, ScalarCreep):
-        return dualize_creep_to_relaxation(kernel)
-    if isinstance(kernel, MatrixRelaxation):
-        return dualize_matrix_relaxation_to_creep(kernel)
-    if isinstance(kernel, MatrixCreep):
-        return dualize_matrix_creep_to_relaxation(kernel)
-    raise TypeError(f"not a kernel: {type(kernel).__name__}")
+    convert = _CONVERSIONS.get(type(kernel))
+    if convert is None:
+        raise TypeError(f"not a kernel: {type(kernel).__name__}")
+    return convert(kernel)

@@ -6,6 +6,11 @@ where ``u`` is the identity (Dirac) convolution operator; a creep kernel is
 carry positive-semidefinite symmetric matrix coefficients in Voigt
 convention (indices 11, 22, 33, 23, 31, 12 with sqrt(2)-scaled shears).
 
+Every kernel maps to the arrays ``(X, Y, rates, weights)`` of its complete
+Bernstein image (:func:`cbf_as_rational`, :func:`square_image`), and the
+Laplace images, limits and positivity condition are written once on those
+arrays, with a scalar kernel as the ``1 x 1`` case.
+
 All kernel objects are immutable after construction and every function in
 this module is pure.
 """
@@ -50,7 +55,7 @@ UNBOUNDED = Unbounded()
 
 
 # ---------------------------------------------------------------------------
-# 6x6 symmetric matrix helpers
+# Symmetric matrix helpers
 # ---------------------------------------------------------------------------
 
 def symmetric6(m, tol=TOL_SYM):
@@ -84,25 +89,36 @@ def matrix_norm(m):
     return float(np.linalg.norm(m, 2))
 
 
-def eigmin(m):
-    return float(np.linalg.eigvalsh(m)[0])
+def psd_flags(stack, tol=TOL_PSD, norms=None):
+    """Semidefiniteness and definiteness of every matrix of a ``(n, d, d)``
+    stack: the one predicate behind every such test in the package.
+
+    A matrix is positive semidefinite when it is zero, or when it is
+    symmetric within ``TOL_PSD`` and no eigenvalue is below ``-tol``; it is
+    positive definite when it is symmetric within ``TOL_PSD`` and its lowest
+    eigenvalue is above ``tol``; all relative to its spectral norm.  ``tol``
+    may hold one value per matrix.  The norms come from one batched call
+    unless the caller passes them, the eigenvalues of the symmetric parts
+    from one batched ``eigvalsh``.  Returns ``(psd, pd, norms)``.
+    """
+    stack = np.asarray(stack, dtype=float)
+    flipped = np.swapaxes(stack, -1, -2)
+    if norms is None:
+        norms = np.linalg.norm(stack, 2, axis=(-2, -1))
+    floor = tol * norms
+    symmetric = (np.max(np.abs(stack - flipped), axis=(-2, -1), initial=0.0)
+                 <= TOL_PSD * norms)
+    lowest = np.linalg.eigvalsh(0.5 * (stack + flipped))[..., 0]
+    return ((norms == 0.0) | (symmetric & (lowest >= -floor)),
+            symmetric & (lowest > floor), norms)
 
 
 def is_psd(m, tol=TOL_PSD):
-    """Symmetric within ``TOL_PSD`` and no eigenvalue below ``-tol``, both
-    relative to the spectral norm."""
-    m = np.asarray(m, dtype=float)
-    n = matrix_norm(m)
-    if n == 0.0:
-        return True
-    if np.max(np.abs(m - m.T)) > TOL_PSD * n:
-        return False
-    return eigmin(0.5 * (m + m.T)) >= -tol * n
+    return bool(psd_flags(np.asarray(m, dtype=float)[None], tol)[0][0])
 
 
 def is_pd(m, tol=TOL_PSD):
-    n = matrix_norm(m)
-    return n > 0.0 and eigmin(m) > tol * n
+    return bool(psd_flags(np.asarray(m, dtype=float)[None], tol)[1][0])
 
 
 def psd_clip(m):
@@ -205,17 +221,15 @@ def _matrix_parts(first, second, names, modes, kind):
         if m.shape != (6, 6):
             raise InvalidKernel(f"expected a 6x6 matrix, got shape {m.shape}")
     stack = symmetric6(np.array(matrices))
-    norms = np.linalg.norm(stack, 2, axis=(1, 2))
-    lowest = np.linalg.eigvalsh(stack)[:, 0]
-    not_psd = (norms > 0.0) & (lowest < -TOL_PSD * norms)
-    for name, bad in zip(names, not_psd):
-        if bad:
+    psd, _, norms = psd_flags(stack)
+    for name, ok in zip(names, psd):
+        if not ok:
             raise InvalidKernel(f"{name} must be positive semidefinite")
     scale = float(np.sum(norms))
     if scale <= 0.0:
         raise InvalidKernel(f"{kind} kernel is identically zero")
     rates = [_checked_rate(r) for r, _ in modes]
-    bad = np.flatnonzero(not_psd[2:])
+    bad = np.flatnonzero(~psd[2:])
     if bad.size:
         raise InvalidKernel(f"mode weight at rate {rates[bad[0]]} is not "
                             "positive semidefinite")
@@ -225,11 +239,25 @@ def _matrix_parts(first, second, names, modes, kind):
 
 
 # ---------------------------------------------------------------------------
-# Scalar kernels
+# Kernel classes
 # ---------------------------------------------------------------------------
 
+class _Kernel:
+    """What the four kernel classes share, computed from their image.
+
+    ``relaxation`` tells a relaxation kernel from a creep kernel.
+    """
+
+    def satisfies_positivity(self):
+        """Condition (*) on relaxation data (``N + B + sum G_k``), (**) on
+        creep data (``A + D + sum H_j``): ``X + Y + sum Z_k`` positive
+        definite."""
+        X, Y, _, weights = square_image(self)
+        return is_pd(X + Y + weights.sum(axis=0))
+
+
 @dataclass(frozen=True)
-class ScalarRelaxation:
+class ScalarRelaxation(_Kernel):
     """``f(t) = newtonian*u(t) + equilibrium + sum m_k exp(-r_k t)``.
 
     ``modes`` holds ``(rate, weight)`` pairs sorted by rate.  Use
@@ -239,6 +267,7 @@ class ScalarRelaxation:
     newtonian: float = 0.0
     equilibrium: float = 0.0
     modes: tuple = ()
+    relaxation = True
 
     @classmethod
     def make(cls, newtonian=0.0, equilibrium=0.0, modes=()):
@@ -249,18 +278,9 @@ class ScalarRelaxation:
             raise InvalidKernel("relaxation kernel is identically zero")
         return cls(beta, a, _scalar_modes(modes, scale))
 
-    @property
-    def continuous_at_zero(self):
-        """f0(0+) = equilibrium + sum of mode weights."""
-        return self.equilibrium + sum(w for _, w in self.modes)
-
-    @property
-    def scale(self):
-        return self.newtonian + self.continuous_at_zero
-
 
 @dataclass(frozen=True)
-class ScalarCreep:
+class ScalarCreep(_Kernel):
     """``h(t) = instantaneous + fluidity*t + sum (nu_j/s_j)(1-exp(-s_j t))``.
 
     ``modes`` holds ``(rate, mass)`` pairs sorted by rate.
@@ -269,6 +289,7 @@ class ScalarCreep:
     instantaneous: float = 0.0
     fluidity: float = 0.0
     modes: tuple = ()
+    relaxation = False
 
     @classmethod
     def make(cls, instantaneous=0.0, fluidity=0.0, modes=()):
@@ -279,26 +300,15 @@ class ScalarCreep:
             raise InvalidKernel("creep kernel is identically zero")
         return cls(a, b, _scalar_modes(modes, scale))
 
-    @property
-    def derivative_at_zero(self):
-        return self.fluidity + sum(w for _, w in self.modes)
-
-    @property
-    def scale(self):
-        return self.instantaneous + self.fluidity + sum(w for _, w in self.modes)
-
-
-# ---------------------------------------------------------------------------
-# Matrix kernels
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class MatrixRelaxation:
+class MatrixRelaxation(_Kernel):
     """``R(t) = u(t) N + B + sum G_k exp(-r_k t)`` with PSD 6x6 coefficients."""
 
     newtonian: np.ndarray
     equilibrium: np.ndarray
     modes: tuple
+    relaxation = True
 
     @classmethod
     def make(cls, newtonian=None, equilibrium=None, modes=()):
@@ -306,60 +316,21 @@ class MatrixRelaxation:
             newtonian, equilibrium,
             ("newtonian matrix", "equilibrium matrix"), modes, "relaxation"))
 
-    def satisfies_positivity(self):
-        """Condition (*): N + B + sum G_k positive definite."""
-        total = self.newtonian + self.equilibrium
-        for _, g in self.modes:
-            total = total + g
-        return is_pd(total)
-
-    @property
-    def continuous_at_zero(self):
-        """F(0+) = B + sum G_k."""
-        out = np.array(self.equilibrium)
-        for _, g in self.modes:
-            out += g
-        return _frozen(out)
-
-    @property
-    def scale(self):
-        s = matrix_norm(self.newtonian) + matrix_norm(self.equilibrium)
-        return s + sum(matrix_norm(g) for _, g in self.modes)
-
 
 @dataclass(frozen=True, eq=False)
-class MatrixCreep:
+class MatrixCreep(_Kernel):
     """``C(t) = A + t D + sum (H_j/s_j)(1 - exp(-s_j t))``, PSD coefficients."""
 
     instantaneous: np.ndarray
     fluidity: np.ndarray
     modes: tuple
+    relaxation = False
 
     @classmethod
     def make(cls, instantaneous=None, fluidity=None, modes=()):
         return cls(*_matrix_parts(
             instantaneous, fluidity,
             ("instantaneous matrix", "fluidity matrix"), modes, "creep"))
-
-    def satisfies_positivity(self):
-        """Condition (**): A + D + sum H_j positive definite."""
-        total = self.instantaneous + self.fluidity
-        for _, h in self.modes:
-            total = total + h
-        return is_pd(total)
-
-    @property
-    def derivative_at_zero(self):
-        """C'(0+) = D + sum H_j."""
-        out = np.array(self.fluidity)
-        for _, h in self.modes:
-            out += h
-        return _frozen(out)
-
-    @property
-    def scale(self):
-        s = matrix_norm(self.instantaneous) + matrix_norm(self.fluidity)
-        return s + sum(matrix_norm(h) for _, h in self.modes)
 
 
 RELAXATION_KINDS = (ScalarRelaxation, MatrixRelaxation)
@@ -369,6 +340,46 @@ CREEP_KINDS = (ScalarCreep, MatrixCreep)
 def max_rate(kernel):
     """Largest exponential rate of a kernel, or 1.0 if it has no modes."""
     return max((r for r, _ in kernel.modes), default=1.0)
+
+
+# ---------------------------------------------------------------------------
+# Complete Bernstein images
+# ---------------------------------------------------------------------------
+
+def cbf_as_rational(kernel):
+    """The image ``U(p) = p X + Y + sum_k Z_k p/(p + t_k)`` of a kernel.
+
+    Returns ``(X, Y, rates, weights)`` as arrays: ``rates`` is ``(K,)`` and
+    ``weights`` stacks the mode weights, ``(K,)`` for a scalar kernel and
+    ``(K, 6, 6)`` for a 6x6 one.  A relaxation kernel gives
+    ``U(p) = p ftilde(p)`` with ``(X, Y) = (newtonian, equilibrium)``; a
+    creep kernel gives ``U(p) = p^2 htilde(p)`` with
+    ``(X, Y) = (instantaneous, fluidity)``.  In both cases ``U(p)^-1``
+    decomposes into the dual kernel's coefficients.  This is the one place
+    that knows which coefficients of each kernel class are ``X`` and ``Y``.
+    """
+    if isinstance(kernel, RELAXATION_KINDS):
+        dirac, constant = kernel.newtonian, kernel.equilibrium
+    elif isinstance(kernel, CREEP_KINDS):
+        dirac, constant = kernel.instantaneous, kernel.fluidity
+    else:
+        raise TypeError(f"not a kernel: {type(kernel).__name__}")
+    return (np.asarray(dirac, dtype=float), np.asarray(constant, dtype=float),
+            np.array([r for r, _ in kernel.modes], dtype=float),
+            np.array([w for _, w in kernel.modes], dtype=float))
+
+
+def square_image(kernel):
+    """:func:`cbf_as_rational` with ``X, Y`` as ``d x d`` matrices and the
+    weights as ``(K, d, d)``; ``d`` is 1 for a scalar kernel."""
+    X, Y, rates, weights = cbf_as_rational(kernel)
+    d = X.shape[0] if X.ndim else 1
+    return X.reshape(d, d), Y.reshape(d, d), rates, weights.reshape(-1, d, d)
+
+
+def _unwrap(m):
+    """A ``1 x 1`` matrix as a float, any other as a copy."""
+    return float(m[0, 0]) if m.shape == (1, 1) else np.array(m)
 
 
 # ---------------------------------------------------------------------------
@@ -416,31 +427,20 @@ def eval_creep(kernel, t):
 def laplace_times_p(kernel, p):
     """``p * ktilde(p)`` on the positive real Laplace axis.
 
-    For a relaxation kernel this is the complete-Bernstein expression
-    ``beta*p + a + sum m_k p/(p+r_k)``; for a creep kernel the Stieltjes
-    expression ``a + b/p + sum nu_j/(p+s_j)``.  Matrix kernels follow the
-    same formulas with matrix coefficients.
+    For a relaxation kernel this is its image ``U(p)``, the complete
+    Bernstein expression ``beta*p + a + sum m_k p/(p+r_k)``; for a creep
+    kernel ``U(p)/p``, the Stieltjes expression ``a + b/p + sum
+    nu_j/(p+s_j)``.  A scalar kernel gives a float, a 6x6 kernel a matrix.
     """
     p = float(p)
     if p <= 0.0:
         raise ValueError("Laplace variable must be positive")
-    if isinstance(kernel, ScalarRelaxation):
-        return (kernel.newtonian * p + kernel.equilibrium
-                + sum(w * p / (p + r) for r, w in kernel.modes))
-    if isinstance(kernel, ScalarCreep):
-        return (kernel.instantaneous + kernel.fluidity / p
-                + sum(w / (p + r) for r, w in kernel.modes))
-    if isinstance(kernel, MatrixRelaxation):
-        out = p * kernel.newtonian + kernel.equilibrium
-        for r, g in kernel.modes:
-            out = out + (p / (p + r)) * g
-        return out
-    if isinstance(kernel, MatrixCreep):
-        out = kernel.instantaneous + kernel.fluidity / p
-        for r, h in kernel.modes:
-            out = out + h / (p + r)
-        return out
-    raise TypeError(f"not a kernel: {type(kernel).__name__}")
+    X, Y, rates, weights = square_image(kernel)
+    if kernel.relaxation:
+        X, factors = p * X, p / (p + rates)
+    else:
+        Y, factors = Y / p, 1.0 / (p + rates)
+    return _unwrap(X + Y + np.tensordot(factors, weights, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +453,7 @@ class LimitReport:
 
     Unbounded entries carry the :data:`UNBOUNDED` tag.  ``dirac`` is the
     Newtonian coefficient for relaxation kernels, None for creep kernels.
+    Entries are floats for a scalar kernel and 6x6 arrays otherwise.
     """
 
     value_at_zero: object
@@ -463,58 +464,33 @@ class LimitReport:
 
 
 def relaxation_limits(kernel):
-    """Limits of the continuous part of a relaxation kernel."""
-    if isinstance(kernel, ScalarRelaxation):
-        return LimitReport(
-            value_at_zero=kernel.continuous_at_zero,
-            value_at_infinity=kernel.equilibrium,
-            derivative_at_zero=-sum(r * w for r, w in kernel.modes),
-            derivative_at_infinity=0.0,
-            dirac=kernel.newtonian,
-        )
-    if isinstance(kernel, MatrixRelaxation):
-        dz = np.zeros((6, 6))
-        for r, g in kernel.modes:
-            dz -= r * g
-        return LimitReport(
-            value_at_zero=kernel.continuous_at_zero,
-            value_at_infinity=np.array(kernel.equilibrium),
-            derivative_at_zero=dz,
-            derivative_at_infinity=np.zeros((6, 6)),
-            dirac=np.array(kernel.newtonian),
-        )
-    raise TypeError(f"not a relaxation kernel: {type(kernel).__name__}")
+    """Limits of the continuous part ``Y + sum Z_k exp(-r_k t)`` of a
+    relaxation kernel, with its Dirac part ``X``."""
+    X, Y, rates, weights = square_image(kernel)
+    if not kernel.relaxation:
+        raise TypeError(f"not a relaxation kernel: {type(kernel).__name__}")
+    return LimitReport(
+        value_at_zero=_unwrap(Y + weights.sum(axis=0)),
+        value_at_infinity=_unwrap(Y),
+        derivative_at_zero=_unwrap(-np.tensordot(rates, weights, 1)),
+        derivative_at_infinity=_unwrap(np.zeros_like(Y)),
+        dirac=_unwrap(X),
+    )
 
 
 def creep_limits(kernel):
-    """Limits of a creep kernel; unbounded growth is tagged, not a float."""
-    if isinstance(kernel, ScalarCreep):
-        if kernel.fluidity > 0.0:
-            at_inf = UNBOUNDED
-        else:
-            at_inf = kernel.instantaneous + sum(
-                w / r for r, w in kernel.modes)
-        return LimitReport(
-            value_at_zero=kernel.instantaneous,
-            value_at_infinity=at_inf,
-            derivative_at_zero=kernel.derivative_at_zero,
-            derivative_at_infinity=kernel.fluidity,
-        )
-    if isinstance(kernel, MatrixCreep):
-        if matrix_norm(kernel.fluidity) > 0.0:
-            at_inf = UNBOUNDED
-        else:
-            out = np.array(kernel.instantaneous)
-            for r, h in kernel.modes:
-                out += h / r
-            at_inf = out
-        return LimitReport(
-            value_at_zero=np.array(kernel.instantaneous),
-            value_at_infinity=at_inf,
-            derivative_at_zero=kernel.derivative_at_zero,
-            derivative_at_infinity=np.array(kernel.fluidity),
-        )
-    raise TypeError(f"not a creep kernel: {type(kernel).__name__}")
+    """Limits of a creep kernel ``X + t Y + sum (Z_j/s_j)(1 - exp(-s_j t))``;
+    unbounded growth is tagged, not a float."""
+    X, Y, rates, weights = square_image(kernel)
+    if kernel.relaxation:
+        raise TypeError(f"not a creep kernel: {type(kernel).__name__}")
+    return LimitReport(
+        value_at_zero=_unwrap(X),
+        value_at_infinity=(UNBOUNDED if np.any(Y) else _unwrap(
+            X + (weights / rates[:, None, None]).sum(axis=0))),
+        derivative_at_zero=_unwrap(Y + weights.sum(axis=0)),
+        derivative_at_infinity=_unwrap(Y),
+    )
 
 
 # ---------------------------------------------------------------------------

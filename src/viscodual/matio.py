@@ -14,11 +14,11 @@ import warnings
 import numpy as np
 
 from .kernels import (
-    InvalidKernel,
     MatrixCreep,
     MatrixRelaxation,
     ScalarCreep,
     ScalarRelaxation,
+    cbf_as_rational,
     near_coincident,
 )
 from .verify import BLOCK_ELEMENTS, kernel_values
@@ -29,6 +29,13 @@ class MaterialFormatError(ValueError):
 
 
 _UPPER_ROWS, _UPPER_COLS = np.triu_indices(6)
+# document kind -> names of the X and Y coefficients of its image
+_FIELDS = {"relaxation": ("dirac", "equilibrium"),
+           "creep": ("instantaneous", "fluidity")}
+_CLASSES = {("relaxation", "scalar"): ScalarRelaxation,
+            ("relaxation", "matrix6"): MatrixRelaxation,
+            ("creep", "scalar"): ScalarCreep,
+            ("creep", "matrix6"): MatrixCreep}
 
 
 # ---------------------------------------------------------------------------
@@ -93,23 +100,15 @@ def parse_material(text):
     if not isinstance(doc, dict):
         raise MaterialFormatError("material document must be an object")
     kind = doc.get("kind")
-    if kind not in ("relaxation", "creep"):
+    if kind not in _FIELDS:
         raise MaterialFormatError("kind must be 'relaxation' or 'creep'")
     dimension = doc.get("dimension")
     if dimension not in ("scalar", "matrix6"):
         raise MaterialFormatError("dimension must be 'scalar' or 'matrix6'")
     matrix = dimension == "matrix6"
     modes = _parse_modes(doc, matrix)
-    if kind == "relaxation":
-        dirac = _coefficient(doc, "dirac", matrix)
-        equilibrium = _coefficient(doc, "equilibrium", matrix)
-        cls = MatrixRelaxation if matrix else ScalarRelaxation
-        return cls.make(newtonian=dirac, equilibrium=equilibrium, modes=modes)
-    instantaneous = _coefficient(doc, "instantaneous", matrix)
-    fluidity = _coefficient(doc, "fluidity", matrix)
-    cls = MatrixCreep if matrix else ScalarCreep
-    return cls.make(instantaneous=instantaneous, fluidity=fluidity,
-                    modes=modes)
+    first, second = (_coefficient(doc, key, matrix) for key in _FIELDS[kind])
+    return _CLASSES[kind, dimension].make(first, second, modes)
 
 
 # ---------------------------------------------------------------------------
@@ -142,28 +141,20 @@ def _emit(value, indent):
 
 def serialize_material(kernel, metadata=None):
     """Deterministic JSON text for a canonical kernel."""
-    matrix = isinstance(kernel, (MatrixRelaxation, MatrixCreep))
+    dirac, constant, rates, weights = cbf_as_rational(kernel)
 
     def coef(value):
-        return [float(x) for x in np.asarray(value).ravel()] if matrix \
-            else float(value)
+        return value.ravel().tolist() if value.ndim else float(value)
 
-    doc = {
-        "kind": "relaxation"
-        if isinstance(kernel, (ScalarRelaxation, MatrixRelaxation))
-        else "creep",
-        "dimension": "matrix6" if matrix else "scalar",
-    }
+    kind = "relaxation" if kernel.relaxation else "creep"
+    doc = {"kind": kind, "dimension": "matrix6" if dirac.ndim else "scalar"}
     if metadata:
         doc["metadata"] = dict(metadata)
-    if doc["kind"] == "relaxation":
-        doc["dirac"] = coef(kernel.newtonian)
-        doc["equilibrium"] = coef(kernel.equilibrium)
-    else:
-        doc["instantaneous"] = coef(kernel.instantaneous)
-        doc["fluidity"] = coef(kernel.fluidity)
+    first, second = _FIELDS[kind]
+    doc[first] = coef(dirac)
+    doc[second] = coef(constant)
     doc["modes"] = [{"rate": rate, "weight": coef(weight)}
-                    for rate, weight in kernel.modes]
+                    for rate, weight in zip(rates.tolist(), weights)]
     return _emit(doc, 0) + "\n"
 
 
@@ -192,7 +183,7 @@ def sample_to_csv(kernel, t_start, t_end, count, spacing="linear"):
     else:
         raise ValueError("spacing must be 'linear' or 'log'")
 
-    if isinstance(kernel, (MatrixRelaxation, MatrixCreep)):
+    if cbf_as_rational(kernel)[0].ndim:
         header = "t," + ",".join(f"v{i + 1}{j + 1}"
                                  for i, j in zip(_UPPER_ROWS, _UPPER_COLS))
         columns = (_UPPER_ROWS, _UPPER_COLS)

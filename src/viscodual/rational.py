@@ -2,7 +2,8 @@
 
 Every kernel maps to the complete Bernstein image
 ``U(p) = p X + Y + sum_k Z_k p/(p + t_k)``, with PSD data (nonnegative
-numbers for a scalar kernel), and ``U(p)^-1`` is a Stieltjes function whose
+numbers for a scalar kernel; :func:`cbf_as_rational`, defined in
+``kernels``, gives its arrays), and ``U(p)^-1`` is a Stieltjes function whose
 pieces are the dual kernel's coefficients.  Both paths work on that
 partial-fraction form and never multiply it out into monomial
 coefficients, which lose digits on dense or wide spectra.  The scalar path
@@ -20,12 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import (
-    CREEP_KINDS,
-    RELAXATION_KINDS,
     NumericsError,
     TOL_PSD,
+    cbf_as_rational,  # noqa: F401  (re-exported: the map lives in kernels)
     matrix_norm,
     psd_clip,
+    square_image,
 )
 
 BISECT_REL_WIDTH = 1e-14    # relative bracket width before the Newton polish
@@ -37,28 +38,6 @@ TOL_CANCEL = 1e-13          # residue norms below this (relative) are numerical 
                             # genuine residues can span many orders of magnitude
 TOL_CROSSCHECK = 1e-5       # relative mismatch allowed between the two A-evaluations
 TOL_ZERO_POLE = 1e-9        # poles below this times the fastest rate count as at zero
-
-
-def cbf_as_rational(kernel):
-    """The image ``U(p) = p X + Y + sum_k Z_k p/(p + t_k)`` of a kernel.
-
-    Returns ``(X, Y, rates, weights)`` as arrays: ``rates`` is ``(K,)`` and
-    ``weights`` stacks the mode weights, ``(K,)`` for a scalar kernel and
-    ``(K, 6, 6)`` for a 6x6 one.  A relaxation kernel gives
-    ``U(p) = p ftilde(p)`` with ``(X, Y) = (newtonian, equilibrium)``; a
-    creep kernel gives ``U(p) = p^2 htilde(p)`` with
-    ``(X, Y) = (instantaneous, fluidity)``.  In both cases ``U(p)^-1``
-    decomposes into the dual kernel's coefficients.
-    """
-    if isinstance(kernel, RELAXATION_KINDS):
-        dirac, constant = kernel.newtonian, kernel.equilibrium
-    elif isinstance(kernel, CREEP_KINDS):
-        dirac, constant = kernel.instantaneous, kernel.fluidity
-    else:
-        raise TypeError(f"not a kernel: {type(kernel).__name__}")
-    return (np.asarray(dirac, dtype=float), np.asarray(constant, dtype=float),
-            np.array([r for r, _ in kernel.modes], dtype=float),
-            np.array([w for _, w in kernel.modes], dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +209,7 @@ class CbfImage:
 
 def cbf_image(kernel):
     """The image ``U`` of a 6x6 kernel, with its weights as ``(K, 6, 6)``."""
-    dirac, constant, rates, weights = cbf_as_rational(kernel)
-    return CbfImage(dirac, constant, rates, weights.reshape(-1, 6, 6))
+    return CbfImage(*square_image(kernel))
 
 
 def image_pencil_roots(image):

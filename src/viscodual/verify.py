@@ -7,17 +7,20 @@ exponential factor and has an elementary antiderivative.  Quadrature never
 enters the checks; it exists only as a test oracle for this module.
 
 The checks are stacked numpy over the whole time grid.  Each kernel
-enters as the arrays ``(X, Y, rates, weights)`` of
-:func:`rational.cbf_as_rational`, with a scalar kernel as the ``1x1``
-case.  The convolution at all grid times is one ``(T, K, J)`` broadcast
-over relaxation modes ``k`` and creep modes ``j`` against the products of
-their weights, taken in blocks of rows so that no temporary outgrows
-:data:`BLOCK_ELEMENTS`, and the residual grid runs from ``1e-3/r_max`` to
-``1e3/r_min``, so every mode of both kernels has decayed inside it.  The
-well-formedness samples keep the pointwise arithmetic bit for bit (see
-:func:`kernel_values`).  The responses to a piecewise-linear history
-(:func:`respond`, :func:`respond_creep`) are still summed one time at a
-time, window by window.
+enters as its :func:`kernels.square_image` ``(X, Y, rates, weights)``, a
+scalar kernel being the ``1x1`` case, and each check is written once for
+both sizes.  The convolution at all grid times is one ``(T, K, J)``
+broadcast over relaxation modes ``k`` and creep modes ``j`` against the
+products of their weights, taken in blocks of rows so that no temporary
+outgrows :data:`BLOCK_ELEMENTS`, and the residual grid runs from
+``1e-3/r_max`` to ``1e3/r_min``, so every mode of both kernels has decayed
+inside it.  The shape checks of :func:`check_wellformed` take the kernel
+and its first three derivatives exactly from the modes, and
+:func:`check_limit_identities` takes all its norms from one batched call
+and all its definiteness tests from one batched ``eigvalsh``.  The
+responses to a piecewise-linear history (:func:`respond`,
+:func:`respond_creep`) are still summed one time at a time, window by
+window.
 """
 
 from __future__ import annotations
@@ -34,13 +37,13 @@ from .kernels import (
     ScalarRelaxation,
     eval_creep,
     eval_relaxation,
-    is_pd,
     matrix_norm,
     max_rate,
+    psd_flags,
+    square_image,
 )
-from .rational import cbf_as_rational
 
-TOL_CM = 1e-9         # relative slack for sampled sign-alternation checks
+TOL_CM = 1e-9         # relative slack for the derivative sign checks
 TOL_EQUAL_RATE = 1e-8  # |r - s| t below which the degenerate branch is used
 TOL_LIMITS = 1e-8      # default tolerance for the boundary-value identities
 GRID_STEPS_PER_DECADE = 16.0 / 3.0  # 32 steps over the 6 decades of one rate
@@ -102,14 +105,6 @@ class _ReportBuilder:
 # Kernels on a time grid
 # ---------------------------------------------------------------------------
 
-def _image(kernel):
-    """``(X, Y, rates, weights)`` with ``X, Y`` as ``d x d`` and the weights
-    as ``(K, d, d)``; ``d`` is 1 for a scalar kernel."""
-    X, Y, rates, weights = cbf_as_rational(kernel)
-    d = X.shape[0] if X.ndim else 1
-    return X.reshape(d, d), Y.reshape(d, d), rates, weights.reshape(-1, d, d)
-
-
 def _checked_times(times):
     t = np.asarray(times, dtype=float).reshape(-1)
     if np.any(t < 0.0):
@@ -123,13 +118,12 @@ def kernel_values(kernel, times):
     Each entry is, to the last bit, what :func:`eval_relaxation` or
     :func:`eval_creep` returns at that time: only the time axis is
     vectorized, and the modes are added one at a time in rate order, with
-    the association each kernel kind uses there.  The order-3 alternation
-    check of :func:`check_wellformed` turns on the last bit of these
-    values, so a reordered sum can reject a right dual.
+    the association each kernel kind uses there, so that
+    :func:`matio.sample_to_csv` prints what the per-point functions give.
     """
     t = _checked_times(times)
-    X, Y, rates, weights = _image(kernel)
-    relax = isinstance(kernel, RELAXATION_KINDS)
+    X, Y, rates, weights = square_image(kernel)
+    relax = kernel.relaxation
     scalar = X.shape == (1, 1)
     col = t[:, None, None]
     base = np.zeros_like(col) + Y if relax else X + col * Y
@@ -149,80 +143,71 @@ def kernel_values(kernel, times):
 # Well-formedness
 # ---------------------------------------------------------------------------
 
-def _divided_differences(times, values, order):
-    """Divided differences along the last axis, one row per sample set."""
-    d = np.array(values, dtype=float)
-    t = np.asarray(times, dtype=float)
-    for k in range(order):
-        d = (d[..., 1:] - d[..., :-1]) / (t[k + 1:] - t[:-(k + 1)])
-    return d
-
 _PROBE_VECTORS = np.vstack([np.eye(6), np.full((1, 6), 1.0 / np.sqrt(6.0))])
+_SHAPE_TIMES = np.geomspace(1e-3, 1e3, 64)   # over the fastest rate
 
 
-def _alternation_checks(rep, times, samples, decreasing):
-    """Sampled complete-monotonicity (or Bernstein) sign pattern, orders 0-3.
+def _alternation_checks(rep, relax, stack, norms, rates, rmax):
+    """Complete monotonicity (or the Bernstein property) at 64 times, orders
+    0-3, exactly from the modes.
 
-    Divided differences of a completely monotone function alternate in sign
-    on any increasing grid; a Bernstein function is nonnegative with the
-    alternation shifted by one order.  ``samples`` holds one row per probe.
+    ``stack`` holds ``X``, ``Y`` and the weights ``Z_k``, ``norms`` their
+    spectral norms.  A relaxation kernel's continuous part has
+    ``(-1)^n f^(n)(t) = [n = 0] Y + sum_k r_k^n exp(-r_k t) Z_k``.  A creep
+    kernel has ``h = X + t Y + sum_k Z_k (1 - exp(-r_k t))/r_k`` and, for
+    ``n >= 1``, ``(-1)^(n-1) h^(n) = [n = 1] Y + sum_k r_k^(n-1)
+    exp(-r_k t) Z_k``.  Each must be positive semidefinite.  It is tested
+    through the probe values ``v'Mv`` of the unit coordinate vectors and
+    their normalized sum (the number itself for a scalar kernel), all in one
+    product.  A deficit is measured against the term scale ``sum |c| ||Z||``
+    in units of ``TOL_CM``, so weights that pass the ``TOL_PSD`` test cannot
+    fail it.
     """
+    t = _SHAPE_TIMES / rmax
+    rt = np.multiply.outer(t, rates)
+    # order n divided by rmax^n > 0, which changes no sign and no deficit;
+    # (r/rmax)^n <= 1 cannot overflow however fast the modes
+    powers = np.exp(-rt) * (rates / rmax) ** np.arange(4.0)[:, None, None]
+    factors = np.zeros((4, t.size, rates.size + 2))
+    if relax:
+        factors[0, :, 1] = 1.0
+        factors[:, :, 2:] = powers
+    else:
+        factors[0, :, 0], factors[0, :, 1], factors[1, :, 1] = 1.0, t, 1.0
+        factors[0, :, 2:] = -np.expm1(-rt) / rates
+        factors[1:, :, 2:] = powers[:3]
+    probes = _PROBE_VECTORS if stack.shape[1] > 1 else np.ones((1, 1))
+    values = np.einsum("pi,mij,pj->mp", probes, stack, probes)
+    floor = TOL_CM * (np.abs(factors) @ norms) + 1e-300
+    deficit = np.maximum(0.0, -(factors @ values)) / floor[..., None]
+    # <= 1 passes; a NaN never raises the worst value
+    worst = np.fmax.reduce(deficit.reshape(4, -1), axis=1, initial=0.0)
     for order in range(4):
-        if decreasing:
-            sign = (-1.0) ** order
-        else:
-            sign = 1.0 if order == 0 else (-1.0) ** (order + 1)
-        d = sign * _divided_differences(times, samples, order)
-        floor = TOL_CM * (np.max(np.abs(d), axis=-1) + 1e-300)
-        deficit = np.maximum(0.0, -np.min(d, axis=-1)) / floor
-        # Deficit is measured in units of the tolerance floor; <= 1 passes.
-        # A NaN row never raises the worst value, as with builtin max.
-        rep.add(f"sampled-alternation-order-{order}",
-                max([0.0, *deficit.tolist()]), 1.0)
-
-
-def _psd_flags(stack):
-    """:func:`kernels.is_psd` of every matrix in a stack, from one batched
-    norm and one batched eigenvalue call."""
-    norms = np.linalg.norm(stack, 2, axis=(1, 2))
-    asym = np.max(np.abs(stack - np.swapaxes(stack, 1, 2)), axis=(1, 2))
-    lowest = np.linalg.eigvalsh(0.5 * (stack + np.swapaxes(stack, 1, 2)))[:, 0]
-    return (norms == 0.0) | ((asym <= TOL_PSD * norms)
-                             & (lowest >= -TOL_PSD * norms))
+        rep.add(f"sampled-alternation-order-{order}", worst[order], 1.0)
 
 
 def check_wellformed(kernel):
-    """Structural and sampled shape checks; failures are report entries."""
+    """Structural and shape checks; failures are report entries."""
     rep = _ReportBuilder()
-    is_relax = isinstance(kernel, RELAXATION_KINDS)
-    X, Y, rates, weights = _image(kernel)
-    is_matrix = X.shape != (1, 1)
+    X, Y, rates, weights = square_image(kernel)
+    stack = np.concatenate([X[None], Y[None], weights])
 
     rep.add("rates-positive", 0.0 if np.all(rates > 0) else 1.0, 0.5)
     rep.add("rates-sorted-distinct",
             0.0 if np.all(rates[:-1] < rates[1:]) else 1.0, 0.5)
-    if is_matrix:
-        psd = _psd_flags(np.concatenate([X[None], Y[None], weights]))
+    if X.shape != (1, 1):
+        psd, _, norms = psd_flags(stack)
         rep.add("weights-psd", 0.0 if psd[2:].all() else 1.0, 0.5)
         rep.add("coefficients-psd", 0.0 if psd[:2].all() else 1.0, 0.5)
     else:
+        norms = np.abs(stack[:, 0, 0])   # the 2-norm of a 1x1 matrix
         rep.add("weights-positive", 0.0 if np.all(weights > 0) else 1.0, 0.5)
-        coef_ok = X[0, 0] >= 0 and Y[0, 0] >= 0
-        rep.add("coefficients-nonnegative", 0.0 if coef_ok else 1.0, 0.5)
+        rep.add("coefficients-nonnegative",
+                0.0 if np.all(stack[:2] >= 0) else 1.0, 0.5)
 
-    structural_ok = all(e.passed for e in rep.entries)
-    if structural_ok:
-        rmax = max_rate(kernel)
-        times = np.geomspace(1e-3 / rmax, 1e3 / rmax, 64)
-        values = kernel_values(kernel, times)
-        if is_matrix:
-            # (1x6)@(6x6)@(6x1) per probe and time: the same BLAS calls,
-            # and so the same bits, as ``v @ m @ v`` one matrix at a time
-            probes = _PROBE_VECTORS[:, None, :] @ values[:, None]
-            samples = (probes @ _PROBE_VECTORS[:, :, None])[..., 0, 0].T
-        else:
-            samples = values[None, :, 0, 0]
-        _alternation_checks(rep, times, samples, decreasing=is_relax)
+    if all(e.passed for e in rep.entries):
+        _alternation_checks(rep, kernel.relaxation, stack, norms, rates,
+                            max_rate(kernel))
     return rep.report()
 
 
@@ -270,11 +255,10 @@ def _convolution_values(relaxation, creep, t):
     products ``m_k w_j``, taken in blocks of rows of at most
     ``BLOCK_ELEMENTS`` elements.
     """
-    if not (isinstance(relaxation, RELAXATION_KINDS)
-            and isinstance(creep, CREEP_KINDS)):
+    beta, a, r, m = square_image(relaxation)
+    A, D, s, h = square_image(creep)
+    if not relaxation.relaxation or creep.relaxation:
         raise TypeError("expected a relaxation and a creep kernel")
-    beta, a, r, m = _image(relaxation)
-    A, D, s, h = _image(creep)
     if beta.shape != A.shape:
         raise TypeError("relaxation and creep kernels have incompatible kinds")
     hs = h / s[:, None, None]
@@ -336,67 +320,57 @@ def duality_residual(relaxation, creep, grid=None):
 # Boundary-value identities
 # ---------------------------------------------------------------------------
 
+# definiteness floors of N, B, D, A, R(0+) and C(inf)
+_LIMIT_PD_TOLS = np.array([TOL_PSD, 1e-8, TOL_PSD, 1e-8, 1e-8, 1e-8])
+
+
 def check_limit_identities(relaxation, creep, tol=TOL_LIMITS):
-    """Evaluate every limit clause applicable to a claimed dual pair."""
-    if isinstance(relaxation, ScalarRelaxation):
-        return _scalar_limit_checks(relaxation, creep, tol)
-    return _matrix_limit_checks(relaxation, creep, tol)
+    """Evaluate every limit clause applicable to a claimed dual pair.
 
+    Both kernels enter as ``d x d`` images, a scalar pair as ``1 x 1``.  The
+    relaxation kernel has Dirac part ``N``, equilibrium ``B`` and weights
+    ``G_k``, so ``R(0+) = B + sum G_k``.  The creep kernel has ``C(0) = A``,
+    fluidity ``D`` and weights ``H_j``, so ``C'(0+) = D + sum H_j`` and,
+    when ``D = 0``, ``C(inf) = A + sum H_j/s_j``.  Each clause is added when
+    its hypothesis holds.  Every norm comes from one batched call and every
+    definiteness test from one batched ``eigvalsh``.
+    """
+    N, B, _, G = square_image(relaxation)
+    A, D, s, H = square_image(creep)
+    # summed one mode at a time, in rate order
+    r_zero = np.concatenate([B[None], G]).sum(axis=0)
+    c_slope = np.concatenate([D[None], H]).sum(axis=0)
+    c_inf = np.concatenate([A[None], H / s[:, None, None]]).sum(axis=0)
+    tested = np.array([N, B, D, A, r_zero, c_inf])
+    misfits = np.array([N @ c_slope, r_zero @ A, B @ c_inf, c_inf @ B,
+                        A @ r_zero]) - np.eye(len(N))
+    norms = np.linalg.norm(np.concatenate([tested, misfits, G, H]), 2,
+                           axis=(1, 2))
+    _, pd, _ = psd_flags(tested, _LIMIT_PD_TOLS, norms[:6])
+    n_pd, b_pd, d_pd, a_pd, r_zero_pd, c_inf_pd = pd.tolist()
+    n_norm, b_norm, d_norm, a_norm = norms[:4].tolist()
+    slope_misfit, zero_misfit, inf_misfit, inf_misfit_c, zero_misfit_c = \
+        norms[6:11].tolist()
+    r_scale = n_norm + b_norm + float(np.sum(norms[11:11 + len(G)]))
+    c_scale = a_norm + d_norm + float(np.sum(norms[11 + len(G):]))
 
-def _scalar_limit_checks(r, c, tol):
     rep = _ReportBuilder()
-    h0 = c.instantaneous
-    hp0 = c.derivative_at_zero
-    if r.newtonian > 0.0:
-        rep.add("creep-starts-at-zero", abs(h0) / c.scale, tol)
-        rep.add("newtonian-slope-reciprocity",
-                abs(r.newtonian * hp0 - 1.0), tol)
-    else:
-        rep.add("initial-value-reciprocity",
-                abs(r.continuous_at_zero * h0 - 1.0), tol)
-    if r.equilibrium > 0.0:
-        h_inf = h0 + sum(w / s for s, w in c.modes)
-        rep.add("fluidity-vanishes", c.fluidity / c.scale, tol)
-        rep.add("long-time-reciprocity",
-                abs(r.equilibrium * h_inf - 1.0), tol)
-    else:
-        rep.add("fluid-dual-has-fluidity",
-                0.0 if c.fluidity > 0.0 else 1.0, tol)
-    return rep.report()
-
-
-def _matrix_limit_checks(r, c, tol):
-    rep = _ReportBuilder()
-    eye = np.eye(6)
-    n_mat = np.asarray(r.newtonian)
-    b_mat = np.asarray(r.equilibrium)
-    a_mat = np.asarray(c.instantaneous)
-    d_mat = np.asarray(c.fluidity)
-    r_zero = r.continuous_at_zero
-    c_slope = c.derivative_at_zero
-    c_inf = np.array(a_mat)
-    for s, h in c.modes:
-        c_inf += h / s
-    cscale = c.scale
-    if is_pd(n_mat):
-        rep.add("creep-starts-at-zero", matrix_norm(a_mat) / cscale, tol)
-        rep.add("newtonian-slope-reciprocity",
-                matrix_norm(n_mat @ c_slope - eye), tol)
-    elif matrix_norm(n_mat) == 0.0 and is_pd(r_zero, tol=1e-8):
-        rep.add("initial-value-reciprocity",
-                matrix_norm(np.asarray(r_zero) @ a_mat - eye), tol)
-    if is_pd(b_mat, tol=1e-8):
-        rep.add("fluidity-vanishes", matrix_norm(d_mat) / cscale, tol)
-        rep.add("long-time-reciprocity",
-                matrix_norm(b_mat @ c_inf - eye), tol)
-    if is_pd(d_mat):
-        rep.add("equilibrium-vanishes", matrix_norm(b_mat) / r.scale, tol)
-    if matrix_norm(d_mat) == 0.0 and is_pd(c_inf, tol=1e-8):
-        rep.add("long-time-reciprocity",
-                matrix_norm(np.asarray(c_inf) @ b_mat - eye), tol)
-    if is_pd(a_mat, tol=1e-8):
-        rep.add("initial-value-reciprocity",
-                matrix_norm(a_mat @ np.asarray(r_zero) - eye), tol)
+    if n_pd:
+        rep.add("creep-starts-at-zero", a_norm / c_scale, tol)
+        rep.add("newtonian-slope-reciprocity", slope_misfit, tol)
+    elif n_norm == 0.0 and r_zero_pd:
+        rep.add("initial-value-reciprocity", zero_misfit, tol)
+    if b_pd:
+        rep.add("fluidity-vanishes", d_norm / c_scale, tol)
+        rep.add("long-time-reciprocity", inf_misfit, tol)
+    elif b_norm == 0.0:
+        rep.add("fluid-dual-has-fluidity", 0.0 if d_pd else 1.0, tol)
+    if d_pd:
+        rep.add("equilibrium-vanishes", b_norm / r_scale, tol)
+    if d_norm == 0.0 and c_inf_pd:
+        rep.add("long-time-reciprocity", inf_misfit_c, tol)
+    if a_pd:
+        rep.add("initial-value-reciprocity", zero_misfit_c, tol)
     return rep.report()
 
 
@@ -425,13 +399,13 @@ class StrainHistory:
             raise ValueError("history times must increase strictly")
         if len(self.values) != len(times):
             raise ValueError("one value required per breakpoint")
-        if self.scalar:
-            values = tuple(float(v) for v in self.values)
-        else:
-            values = tuple(np.asarray(v, dtype=float).reshape(6)
-                           for v in self.values)
+        as_value = (float if self.scalar else
+                    lambda v: np.asarray(v, dtype=float).reshape(6))
+        jump = self.initial_jump
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", tuple(map(as_value, self.values)))
+        object.__setattr__(self, "initial_jump",
+                           None if jump is None else as_value(jump))
 
     @property
     def scalar(self):

@@ -17,6 +17,7 @@ from viscodual import (
     ScalarRelaxation,
     symmetric6,
 )
+from viscodual.kernels import square_image
 from viscodual.rational import cbf_as_rational
 
 
@@ -103,6 +104,14 @@ def _coefficients(kernel):
     return kernel.instantaneous, kernel.fluidity
 
 
+def kernel_scale(kernel):
+    """Sum of the sizes (spectral norms) of a kernel's two coefficients and
+    its mode weights."""
+    X, Y, _, weights = square_image(kernel)
+    stack = np.concatenate([X[None], Y[None], weights])
+    return float(np.sum(np.linalg.norm(stack, 2, axis=(1, 2))))
+
+
 def kernel_distance(a, b):
     """Relative distance between kernels of the same type.
 
@@ -114,7 +123,7 @@ def kernel_distance(a, b):
         raise TypeError("kernels must have the same type")
     if len(a.modes) != len(b.modes):
         return np.inf
-    scale = max(a.scale, b.scale)
+    scale = max(kernel_scale(a), kernel_scale(b))
     if scale == 0.0:
         return 0.0
     worst = 0.0

@@ -110,6 +110,17 @@ class TestCheckCommand:
                     "--against", str(wrong_path)]) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_maxwell_pair_passes(self, tmp_path, capsys):
+        # one Maxwell element: its dual h = 1 + t has no modes
+        kpath = tmp_path / "maxwell.json"
+        kpath.write_text(json.dumps({"kind": "relaxation",
+                                     "dimension": "scalar",
+                                     "modes": [{"rate": 1, "weight": 1}]}))
+        dual_path = tmp_path / "dual.json"
+        assert run(["dualize", str(kpath), "-o", str(dual_path)]) == 0
+        assert run(["check", str(kpath), "--against", str(dual_path)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
     def test_two_relaxations_rejected(self, solid_file):
         assert run(["check", str(solid_file),
                     "--against", str(solid_file)]) == 1
@@ -251,6 +262,19 @@ class TestRespondCommand:
         history.write_text(json.dumps({"kind": "velocity",
                                        "breakpoints": [{"t": 0, "value": 0}]}))
         assert run(["respond", str(solid_file), str(history)]) == 1
+
+    @pytest.mark.parametrize("doc", [
+        [{"t": 0.0, "value": 0.0}],
+        {"kind": "strain", "breakpoints": [1, 2]},
+        {"kind": "strain", "breakpoints": [{"t": 0.0, "value": 0.0}],
+         "initial_jump": "z"},
+    ], ids=["list", "number-breakpoints", "text-jump"])
+    def test_malformed_history_is_validation_error(self, solid_file, tmp_path,
+                                                   doc, capsys):
+        history = tmp_path / "bad.json"
+        history.write_text(json.dumps(doc))
+        assert run(["respond", str(solid_file), str(history)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestEigenstressCommand:

@@ -1,9 +1,9 @@
 """The stacked time-axis code against its per-time-point loops.
 
 ``loop_oracles`` keeps one-time-at-a-time versions of the convolution, the
-well-formedness samples and the CSV sampling.  Samples and CSV text must
-match bit for bit; the convolution sums in another order and must match to
-1e-12 of its term scale.
+well-formedness shape checks and the CSV sampling.  CSV text must match bit
+for bit; the convolution sums in another order and must match to 1e-12 of
+its term scale, and nonzero shape residuals to 1e-6 of their tolerance.
 """
 
 import numpy as np
@@ -11,6 +11,8 @@ import pytest
 
 import viscodual
 from viscodual import (
+    MatrixCreep,
+    MatrixRelaxation,
     ScalarCreep,
     ScalarRelaxation,
     StrainHistory,
@@ -19,6 +21,7 @@ from viscodual import (
     dualize,
     respond,
     sample_to_csv,
+    symmetric6,
 )
 from viscodual.verify import _convolution_values
 
@@ -110,6 +113,30 @@ class TestBitIdentity:
         for kernel in _corpus(rng, 6):
             assert check_wellformed(kernel).entries == \
                 loop_check_wellformed(kernel).entries
+
+    def test_shape_deficits_match_pointwise_terms(self):
+        # weights just inside the TOL_PSD floor give nonzero deficits, far
+        # below the tolerance; the two summation orders agree to about
+        # eps/TOL_CM
+        rng = np.random.default_rng(909)
+        for _ in range(4):
+            # the negative direction is the probe e_6
+            q = np.eye(6)
+            q[:5, :5] = np.linalg.qr(rng.normal(size=(5, 5)))[0]
+            eigs = rng.uniform(0.5, 2.0, size=6)
+            eigs[5] = -0.9e-10 * eigs[:5].max()
+            weight = symmetric6((q * eigs) @ q.T)
+            for kind, coefs in ((MatrixRelaxation, (np.zeros((6, 6)), np.eye(6))),
+                                (MatrixCreep, (np.eye(6), np.zeros((6, 6))))):
+                kernel = kind(*coefs, ((0.5, weight), (4.0, weight)))
+                stacked = check_wellformed(kernel).entries
+                looped = loop_check_wellformed(kernel).entries
+                assert all(e.passed for e in stacked)
+                assert max(e.residual for e in stacked) > 0.0
+                assert [(e.name, e.passed) for e in stacked] == \
+                    [(e.name, e.passed) for e in looped]
+                for a, b in zip(stacked, looped):
+                    assert abs(a.residual - b.residual) <= 1e-6, (a, b)
 
     def test_sample_csv_matches_pointwise_text(self):
         rng = np.random.default_rng(907)

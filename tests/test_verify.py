@@ -26,6 +26,7 @@ from kernel_corpus import (
     random_scalar_creep,
     random_scalar_relaxation,
 )
+from loop_oracles import loop_matrix_limit_checks, loop_scalar_limit_checks
 
 
 class TestCheckWellformed:
@@ -64,6 +65,23 @@ class TestCheckWellformed:
         report = check_wellformed(k)
         for order in range(4):
             assert report.entry(f"sampled-alternation-order-{order}").passed
+
+    def test_kernels_without_modes_pass(self):
+        # a creep line has exact-zero higher derivatives; a Maxwell dual
+        for kernel in (ScalarCreep.make(1.0, 1.0),
+                       MatrixCreep.make(np.eye(6), np.eye(6)),
+                       dualize(ScalarRelaxation.make(modes=[(1.0, 1.0)]))):
+            report = check_wellformed(kernel)
+            assert report.ok, [e for e in report.entries if not e.passed]
+
+    def test_far_apart_rates_do_not_overflow(self):
+        # r^3 of the fastest mode would overflow; a RuntimeWarning fails
+        for kernel in (ScalarRelaxation.make(1.0, 1.0, [(1e-200, 1.0),
+                                                        (1e200, 1.0)]),
+                       MatrixCreep.make(np.eye(6), None,
+                                        [(1e-200, np.eye(6)),
+                                         (1e250, np.eye(6))])):
+            assert check_wellformed(kernel).ok
 
     def test_report_entry_lookup(self):
         k = ScalarCreep.make(instantaneous=1.0)
@@ -193,6 +211,65 @@ class TestLimitIdentities:
             r = random_matrix_relaxation(rng)
             report = check_limit_identities(r, dualize(r))
             assert report.ok, [e for e in report.entries if not e.passed]
+
+    def test_merged_body_matches_former_bodies(self):
+        # right duals of all four kinds, plus one tampered dual per size
+        rng = np.random.default_rng(48)
+        pairs = []
+        for maker in (random_scalar_relaxation, random_scalar_creep,
+                      random_matrix_relaxation, random_matrix_creep):
+            for _ in range(12):
+                k = maker(rng)
+                pairs.append((k, dualize(k)) if k.relaxation
+                             else (dualize(k), k))
+        for r in (ScalarRelaxation.make(equilibrium=1.0, modes=[(1.0, 1.0)]),
+                  MatrixRelaxation.make(equilibrium=np.eye(6),
+                                        modes=[(1.0, 2.0 * np.eye(6))])):
+            c = dualize(r)
+            pairs.append((r, type(c).make(1.01 * np.asarray(c.instantaneous),
+                                          c.fluidity, c.modes)))
+        gained = {"scalar": 0, "matrix": 0}
+        for r, c in pairs:
+            scalar = np.ndim(r.newtonian) == 0
+            former = (loop_scalar_limit_checks if scalar
+                      else loop_matrix_limit_checks)(r, c)
+            merged = check_limit_identities(r, c)
+            assert merged.ok == former.ok
+            for e in former.entries:
+                assert merged.entry(e.name).passed == e.passed
+                assert abs(merged.entry(e.name).residual - e.residual) <= 1e-12
+            added = ({e.name for e in merged.entries}
+                     - {e.name for e in former.entries})
+            if scalar:
+                expected = {"equilibrium-vanishes"} if c.fluidity > 0 else set()
+            else:
+                expected = (set() if np.any(r.equilibrium)
+                            else {"fluid-dual-has-fluidity"})
+            assert added == expected
+            gained["scalar" if scalar else "matrix"] += bool(added)
+        assert not check_limit_identities(*pairs[-2]).ok
+        assert not check_limit_identities(*pairs[-1]).ok
+        assert min(gained.values()) > 0
+
+    def test_linalg_count_per_matrix_pair(self, monkeypatch):
+        # one batched norm and one batched eigvalsh, however many modes
+        rng = np.random.default_rng(49)
+        r = random_matrix_relaxation(rng)
+        c = dualize(r)
+        calls = []
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in ("norm", "eigvalsh", "eigh", "eig", "eigvals", "svd",
+                     "solve", "inv", "cholesky", "det", "qr", "lstsq", "pinv"):
+            monkeypatch.setattr(np.linalg, name,
+                                counted(name, getattr(np.linalg, name)))
+        assert check_limit_identities(r, c).ok
+        assert len(calls) <= 2, calls
 
     def test_violated_identity_detected(self):
         r = ScalarRelaxation.make(equilibrium=1.0, modes=[(1.0, 1.0)])
