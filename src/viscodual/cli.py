@@ -233,12 +233,12 @@ def _cmd_eigenstress(args):
         vectors = doc["vectors"]
         spectra = [[(m["rate"], m["coefficient"]) for m in spectrum]
                    for spectrum in doc["spectra"]]
+        mass = float(doc.get("mass", 1.0))
     except (KeyError, TypeError) as exc:
         raise MaterialFormatError(
-            f"eigenstress document missing field: {exc}") from None
+            f"bad eigenstress document field: {exc}") from None
     basis = EigenstressBasis(tuple(map(tuple, vectors)),
-                             tuple(map(tuple, spectra)),
-                             mass=float(doc.get("mass", 1.0)))
+                             tuple(map(tuple, spectra)), mass=mass)
     equilibrium = doc.get("equilibrium")
     if equilibrium is not None:
         equilibrium = np.asarray(equilibrium, dtype=float).reshape(6, 6)

@@ -86,7 +86,10 @@ def symmetric6(m, tol=TOL_SYM):
 
 
 def matrix_norm(m):
-    return float(np.linalg.norm(m, 2))
+    """Spectral norm of a matrix (a float), or of each matrix of a
+    ``(n, d, d)`` stack (an array), from one batched singular-value call."""
+    norms = np.linalg.svd(m, compute_uv=False)[..., 0]
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def psd_flags(stack, tol=TOL_PSD, norms=None):
@@ -104,7 +107,7 @@ def psd_flags(stack, tol=TOL_PSD, norms=None):
     stack = np.asarray(stack, dtype=float)
     flipped = np.swapaxes(stack, -1, -2)
     if norms is None:
-        norms = np.linalg.norm(stack, 2, axis=(-2, -1))
+        norms = matrix_norm(stack)
     floor = tol * norms
     symmetric = (np.max(np.abs(stack - flipped), axis=(-2, -1), initial=0.0)
                  <= TOL_PSD * norms)

@@ -10,13 +10,14 @@ coefficients, which lose digits on dense or wide spectra.  The scalar path
 bisects the secular equation ``U(-s) = 0`` on the brackets set by the
 interlacing of its roots with the rates and reads the residues off
 ``1/U'(-s)``; the 6x6 path linearizes the same data into a symmetric
-pencil, solves it as one symmetric eigenproblem and extracts residues
-through a nullspace formula.
+pencil, solves it as one symmetric eigenproblem, extracts residues
+through a nullspace formula and certifies the poles by an inertia count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,8 +37,7 @@ TOL_CLUSTER = 1e-8          # relative gap for grouping refined repeated roots
 TOL_NULLSPACE = 1e-8        # singular values below this (relative) span the nullspace
 TOL_CANCEL = 1e-13          # residue norms below this (relative) are numerical dust;
                             # genuine residues can span many orders of magnitude
-TOL_CROSSCHECK = 1e-5       # relative mismatch allowed between the two A-evaluations
-TOL_ZERO_POLE = 1e-9        # poles below this times the fastest rate count as at zero
+TOL_ZERO_POLE = 1e-9        # poles below this times the slowest rate count as at zero
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +153,7 @@ class CbfImage:
     norms of ``X``, ``Y`` and every ``Z_k`` (one batched call), and the
     split of ``X``: ``dirac_eigs`` above ``TOL_PSD`` times its norm, their
     eigenvectors ``dirac_range``, and ``dirac_null`` spanning the rest.
+    The factors a conversion needs are computed on first use.
     ``U``, ``U'`` and :meth:`magnitude` are array expressions over the
     modes; they take a scalar or a vector of points, and a vector of ``n``
     points gives an ``(n, 6, 6)`` stack (``(n,)`` for the magnitude).
@@ -169,13 +170,30 @@ class CbfImage:
 
     def __post_init__(self):
         stack = np.concatenate([[self.dirac, self.constant], self.weights])
-        object.__setattr__(self, "norms",
-                           np.linalg.norm(stack, 2, axis=(1, 2)))
+        object.__setattr__(self, "norms", matrix_norm(stack))
         w, v = np.linalg.eigh(self.dirac)
         above = w > TOL_PSD * self.norms[0]
         object.__setattr__(self, "dirac_eigs", w[above])
         object.__setattr__(self, "dirac_range", v[:, above])
         object.__setattr__(self, "dirac_null", v[:, ~above])
+
+    @cached_property
+    def weight_factors(self):
+        """``(F, ranks)``: ``Z_k = F_k F_k'``, the ``F_k`` side by side in
+        ``F``, from the eigenpairs above ``1e-14`` times the largest."""
+        w, v = np.linalg.eigh(self.weights)
+        keep = w > 1e-14 * np.maximum(w[:, -1:], 1e-300)
+        factors = v * np.sqrt(np.where(keep, w, 0.0))[:, None, :]
+        return (factors.transpose(1, 0, 2).reshape(6, -1)[:, keep.ravel()],
+                keep.sum(axis=1))
+
+    @cached_property
+    def null_factor(self):
+        """``G = L^-1 Q0'``, ``L L' = Q0'(Y + sum Z)Q0`` (``Q0 = dirac_null``,
+        (*) makes it definite): ``G'G`` is ``U(p)^-1`` at ``p -> inf``."""
+        q0 = self.dirac_null
+        block = q0.T @ (self.constant + self.weights.sum(axis=0)) @ q0
+        return np.linalg.solve(np.linalg.cholesky(block), q0.T)
 
     def _mode_sum(self, factors):
         """``sum_k factors[..., k] Z_k``."""
@@ -204,7 +222,7 @@ class CbfImage:
     @property
     def zero_pole_floor(self):
         """Poles up to here count as at zero, in the pencil and the zero mass."""
-        return TOL_ZERO_POLE * (self.rates.max() if self.rates.size else 1.0)
+        return TOL_ZERO_POLE * (self.rates.min() if self.rates.size else 1.0)
 
 
 def cbf_image(kernel):
@@ -222,11 +240,11 @@ def image_pencil_roots(image):
         [-sqrt(t) L^T,   t I   ] [w]  = p  [   -I] [w]
 
     whose entries stay at the scale of the data; the factors ``L_k`` of
-    all modes come from one batched eigendecomposition of the weight
-    stack.  With ``v = Q1 a + Q0 b`` (the split of ``X`` in
-    :class:`CbfImage`, ``Lambda1`` its eigenvalues on ``Q1``), the ``b``
-    rows carry no ``p``.  Their block ``Q0' (Y + sum Z) Q0`` is positive
-    definite under condition (*), and its Schur complement leaves the
+    all modes are :attr:`CbfImage.weight_factors`.  With ``v = Q1 a + Q0 b``
+    (the split of ``X`` in :class:`CbfImage`, ``Lambda1`` its eigenvalues
+    on ``Q1``), the ``b`` rows carry no ``p``.  Their block
+    ``Q0' (Y + sum Z) Q0`` is positive definite under condition (*), and
+    its Schur complement (by :attr:`CbfImage.null_factor`) leaves the
     definite pencil ``S y = -p D y`` over ``(a, w)`` with
     ``D = diag(Lambda1, I)``.  The poles ``s = -p`` are the real
     eigenvalues of ``D^-1/2 S D^-1/2``; those up to
@@ -238,23 +256,17 @@ def image_pencil_roots(image):
     poles may lie arbitrarily close to the source rates when a mode weight
     is nearly singular, so no distance-to-rate filtering is applied.
     """
-    # Z_k = L_k L_k^T with L_k the eigenvectors of Z_k above its rank floor,
-    # scaled by the root of their eigenvalue.
-    w, v = np.linalg.eigh(image.weights)
-    keep = w > 1e-14 * np.maximum(w[:, -1:], 1e-300)
-    factors = v * np.sqrt(np.where(keep, w, 0.0))[:, None, :]
-    blocks = np.sqrt(image.rates)[:, None, None] * factors
-    block = blocks.transpose(1, 0, 2).reshape(6, -1)[:, keep.ravel()]
-    block_rates = np.repeat(image.rates, keep.sum(axis=1))
+    factor, ranks = image.weight_factors
+    block_rates = np.repeat(image.rates, ranks)
+    block = factor * np.sqrt(block_rates)
 
     # The pencil matrix on (a, w): ``rows`` are its v rows, whose Q1 and Q0
-    # parts are its a and b rows; a Cholesky factor eliminates the b rows.
-    q1, q0 = image.dirac_range, image.dirac_null
+    # parts are its a and b rows; the null factor eliminates the b rows.
+    q1 = image.dirac_range
     base = image.constant + image.weights.sum(axis=0)
     rows = np.hstack([base @ q1, -block])
     reduced = np.block([[q1.T @ rows], [-block.T @ q1, np.diag(block_rates)]])
-    coupling = np.linalg.solve(np.linalg.cholesky(q0.T @ base @ q0),
-                               q0.T @ rows)
+    coupling = image.null_factor @ rows
     reduced -= coupling.T @ coupling
     root = 1.0 / np.sqrt(np.append(image.dirac_eigs, np.ones(block_rates.size)))
     eigvals = np.linalg.eigvalsh(root[:, None] * reduced * root)
@@ -369,15 +381,34 @@ def _clip_residues(stack, scale):
     return clipped, float(np.min(low, initial=0.0)) / scale
 
 
+def _certify_pole_count(image, poles, widths, zero_width):
+    """Raise unless ``zero_width`` plus the ``widths`` of the sorted
+    ``poles`` below ``s`` equal ``N(s) = #neg eig U(-s) + sum_{t_k < s}
+    rank Z_k``, the inertia count of the poles in ``[0, s)`` (spectrum
+    slicing; Parlett, *The Symmetric Eigenvalue Problem*, ch. 3), at the
+    midpoints ``sqrt(t_i t_{i+1})`` and as ``s -> inf``, where it is
+    ``rank X + sum rank Z_k``.  The ranks are the pencil's decisions."""
+    ranks = image.weight_factors[1]
+    ends = np.append(np.sqrt(image.rates[:-1] * image.rates[1:]), np.inf)
+    negative = np.sum(np.linalg.eigvalsh(image(-ends[:-1])) < 0.0, axis=1)
+    expected = np.append(negative + np.cumsum(ranks)[:-1],
+                         image.dirac_eigs.size + ranks.sum())
+    found = zero_width + np.append(0, np.cumsum(widths, dtype=int))[
+        np.searchsorted(poles, ends)]
+    for end, want, got in zip(ends, expected, found):
+        if want != got:
+            raise NumericsError(f"pole count on [0, {end:.6g}): {want} by "
+                                f"inertia, {got} found")
+
+
 def decompose_inverse(image):
     """Stieltjes decomposition of ``U(p)^-1``.
 
     The pole-at-zero mass comes from the nullspace of ``U(0) = Y``; mode
     weights from the nullspace residue formula, with ``U'`` at every pole
-    evaluated as one stack; the constant either exactly zero (when the
-    Dirac block is positive definite, so ``U^-1`` decays) or by evaluating
-    ``U^-1`` beyond the largest pole and subtracting the recovered parts,
-    cross-validated at a second point.  The residue norms (one batched call)
+    evaluated as one stack, after :func:`_certify_pole_count` has passed;
+    the constant is ``G'G`` (:attr:`CbfImage.null_factor`), PSD and in the
+    nullspace of ``X`` by construction.  Their norms (one batched call)
     set the decomposition scale and the cancellation test, and the kept
     residues are clipped as one stack.
     """
@@ -393,50 +424,16 @@ def decompose_inverse(image):
     [zero_mass] = _nullspace_residues([null_y], slope[None])
 
     poles = np.array([s for s, _ in eigs], dtype=float)
-    raw = _nullspace_residues([basis for _, basis in eigs],
-                              image.derivative(-poles))
+    bases = [basis for _, basis in eigs]
+    _certify_pole_count(image, poles, [b.shape[1] for b in bases],
+                        null_y.shape[1])
+    raw = _nullspace_residues(bases, image.derivative(-poles))
 
-    p_star = 1.0 + 2.0 * (poles.max() if poles.size else 1.0)
-    probe = np.linalg.inv(image(p_star))
-    norms = np.linalg.norm(np.concatenate([[probe, zero_mass], raw]), 2,
-                           axis=(1, 2))
+    constant = image.null_factor.T @ image.null_factor
+    norms = matrix_norm(np.concatenate([[constant, zero_mass], raw]))
     scale = float(norms.max())
     kept = norms[2:] > TOL_CANCEL * scale
     clipped, worst = _clip_residues(
         np.concatenate([[zero_mass], raw[kept]]), scale)
-    zero_mass = clipped[0]
     modes = tuple(zip(poles[kept].tolist(), clipped[1:]))
-
-    # U^-1 decays along the range of X, so the constant lives in the
-    # nullspace of X (none when X is positive definite).  Projecting the
-    # subtracted constant onto it removes the rounding left in the range of
-    # X, which the short-time identity X C(0) = 0 would magnify.
-    null_x = image.dirac_null
-    if null_x.shape[1] == 0:
-        constant = np.zeros((6, 6))
-    else:
-        core = null_x.T @ _constant_by_subtraction(
-            image, zero_mass, modes, p_star, probe, scale) @ null_x
-        constant, low = _clip_residues(
-            null_x @ (0.5 * (core + core.T)) @ null_x.T, scale)
-        worst = min(worst, low)
-    return MatrixStieltjesParts(constant, zero_mass, modes, worst)
-
-
-def _constant_by_subtraction(image, zero_mass, modes, p_star, probe, scale):
-    rates = np.array([s for s, _ in modes])
-    weights = np.array([w for _, w in modes]).reshape(-1, 36)
-
-    def tail(p, value):
-        return (value - zero_mass / p
-                - ((1.0 / (p + rates)) @ weights).reshape(6, 6))
-
-    constant = tail(p_star, probe)
-    p_check = 2.7 * p_star + 0.3
-    check = tail(p_check, np.linalg.inv(image(p_check)))
-    mismatch = matrix_norm(constant - check)
-    if mismatch > TOL_CROSSCHECK * max(scale, matrix_norm(constant)):
-        raise NumericsError(
-            f"constant-term cross-validation mismatch {mismatch:.3e}; "
-            "pole extraction is inconsistent")
-    return 0.5 * (constant + check)
+    return MatrixStieltjesParts(constant, clipped[0], modes, worst)

@@ -311,7 +311,7 @@ def duality_residual(relaxation, creep, grid=None):
     t = _checked_times(grid)
     value = _convolution_values(relaxation, creep, t)
     eye = np.eye(value.shape[-1])
-    err = np.linalg.norm(value - t[:, None, None] * eye, 2, axis=(1, 2))
+    err = matrix_norm(value - t[:, None, None] * eye)
     rmax = max(max_rate(relaxation), max_rate(creep))
     return float(np.max(err / np.maximum(t, 1e-6 / rmax), initial=0.0))
 
@@ -344,8 +344,7 @@ def check_limit_identities(relaxation, creep, tol=TOL_LIMITS):
     tested = np.array([N, B, D, A, r_zero, c_inf])
     misfits = np.array([N @ c_slope, r_zero @ A, B @ c_inf, c_inf @ B,
                         A @ r_zero]) - np.eye(len(N))
-    norms = np.linalg.norm(np.concatenate([tested, misfits, G, H]), 2,
-                           axis=(1, 2))
+    norms = matrix_norm(np.concatenate([tested, misfits, G, H]))
     _, pd, _ = psd_flags(tested, _LIMIT_PD_TOLS, norms[:6])
     n_pd, b_pd, d_pd, a_pd, r_zero_pd, c_inf_pd = pd.tolist()
     n_norm, b_norm, d_norm, a_norm = norms[:4].tolist()

@@ -21,7 +21,7 @@ from viscodual import (
     eval_creep,
     eval_relaxation,
 )
-from viscodual.kernels import is_psd, matrix_norm, max_rate
+from viscodual.kernels import NumericsError, is_psd, matrix_norm, max_rate
 from viscodual.verify import TOL_CM, TOL_EQUAL_RATE, TOL_LIMITS, _ReportBuilder
 
 
@@ -250,3 +250,34 @@ def loop_matrix_limit_checks(r, c, tol=TOL_LIMITS):
         rep.add("initial-value-reciprocity",
                 matrix_norm(a_mat @ r_zero - eye), tol)
     return rep.report()
+
+
+# ---------------------------------------------------------------------------
+# The dual's 6x6 constant by subtraction
+# ---------------------------------------------------------------------------
+
+def constant_by_subtraction(image, zero_mass, modes, scale):
+    """``U(p)^-1`` minus ``zero_mass/p`` and the ``modes`` beyond the largest
+    pole, projected onto the nullspace of ``X``.
+
+    The subtraction is done at ``p_star = 1 + 2 s_max`` and checked at
+    ``2.7 p_star + 0.3``; a mismatch above ``1e-5`` of ``scale`` (or of the
+    constant) raises :class:`NumericsError`.  The projection removes the
+    rounding left in the range of ``X``.
+    """
+    rates = np.array([s for s, _ in modes])
+    weights = np.array([w for _, w in modes]).reshape(-1, 36)
+
+    def tail(p):
+        return (np.linalg.inv(image(p)) - zero_mass / p
+                - ((1.0 / (p + rates)) @ weights).reshape(6, 6))
+
+    p_star = 1.0 + 2.0 * (rates.max() if rates.size else 1.0)
+    constant, check = tail(p_star), tail(2.7 * p_star + 0.3)
+    mismatch = matrix_norm(constant - check)
+    if mismatch > 1e-5 * max(scale, matrix_norm(constant)):
+        raise NumericsError(
+            f"constant-term cross-validation mismatch {mismatch:.3e}")
+    null_x = image.dirac_null
+    core = null_x.T @ (0.5 * (constant + check)) @ null_x
+    return null_x @ (0.5 * (core + core.T)) @ null_x.T

@@ -296,6 +296,15 @@ class TestEigenstressCommand:
         path.write_text(json.dumps({"vectors": [[1, 0, 0, 0, 0, 0]]}))
         assert run(["eigenstress", str(path)]) == 1
 
+    def test_malformed_mass_rejected(self, tmp_path, capsys):
+        path = tmp_path / "basis.json"
+        path.write_text(json.dumps({
+            "vectors": [[1, 0, 0, 0, 0, 0]],
+            "spectra": [[{"rate": 1.0, "coefficient": 0.5}]],
+            "mass": [1]}))
+        assert run(["eigenstress", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestUsage:
     def test_no_command_is_usage_error(self):

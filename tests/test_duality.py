@@ -3,6 +3,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from viscodual import (
     InvalidKernel,
@@ -190,6 +191,46 @@ class TestMatrixDuality:
             assert np.linalg.norm(n @ a, 2) <= 1e-14 * (
                 np.linalg.norm(n, 2) * np.linalg.norm(a, 2))
             assert duality_residual(r, c) <= 1e-7
+
+    def test_eleven_decades_keep_their_slow_poles(self):
+        # eleven decades of rates: the slow poles lie far below 1e-9 r_max,
+        # so they survive only if "zero" is measured against r_min
+        r = MatrixRelaxation.make(
+            modes=[(10.0 ** e, np.eye(6)) for e in range(-5, 6)])
+        c = dualize(r)
+        assert len(c.modes) == 10
+        for p in np.geomspace(1e-8, 1e8, 33):
+            np.testing.assert_allclose(
+                laplace_times_p(r, p) @ laplace_times_p(c, p), np.eye(6),
+                rtol=0.0, atol=1e-12)
+
+    @settings(deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           decades=st.floats(-8.0, 8.0),
+           relaxation=st.booleans())
+    def test_time_unit_equivariance(self, seed, decades, relaxation):
+        # time in units c times longer: relaxation rates scale by c and N by
+        # 1/c; creep rates, D and H by c.  U becomes U(p/c) (relaxation) or
+        # c U(p/c) (creep), so every dual pole scales by c.
+        c = 10.0 ** decades
+        rng = np.random.default_rng(seed)
+        if relaxation:
+            k = random_matrix_relaxation(rng)
+            scaled = MatrixRelaxation.make(
+                newtonian=np.asarray(k.newtonian) / c,
+                equilibrium=k.equilibrium,
+                modes=[(c * r, g) for r, g in k.modes])
+        else:
+            k = random_matrix_creep(rng)
+            scaled = MatrixCreep.make(
+                instantaneous=k.instantaneous,
+                fluidity=c * np.asarray(k.fluidity),
+                modes=[(c * r, c * np.asarray(h)) for r, h in k.modes])
+        assume(scaled.satisfies_positivity())
+        poles = np.array([s for s, _ in dualize(k).modes])
+        scaled_poles = np.array([s for s, _ in dualize(scaled).modes])
+        assert scaled_poles.shape == poles.shape
+        np.testing.assert_allclose(scaled_poles, c * poles, rtol=1e-9)
 
     def test_dispatch_type_error(self):
         with pytest.raises(TypeError):

@@ -17,7 +17,7 @@ from viscodual import (
     relaxation_limits,
     symmetric6,
 )
-from viscodual.kernels import is_pd, is_psd, max_rate, psd_clip
+from viscodual.kernels import is_pd, is_psd, matrix_norm, max_rate, psd_clip
 
 from kernel_corpus import random_gram
 
@@ -101,6 +101,22 @@ class TestPsdHelpers:
     def test_is_pd_rejects_singular(self):
         assert not is_pd(spd(4, rank=3))
         assert is_pd(spd(4, rank=6))
+
+    @pytest.mark.parametrize("shape", [(6, 6), (1, 6, 6), (10, 6, 6),
+                                       (30, 1, 1), (0, 6, 6)])
+    def test_matrix_norm_matches_numpy_bit_for_bit(self, shape):
+        rng = np.random.default_rng(len(shape) * 100 + shape[0])
+        m = rng.normal(size=shape)
+        cases = [m, np.zeros(shape)]
+        if m.ndim == 3:
+            every_third = np.arange(shape[0])[:, None, None] % 3 == 0
+            cases.append(np.where(every_third, 0.0, m))
+        for case in cases:
+            expected = np.linalg.norm(case, 2, axis=(-2, -1))
+            got = matrix_norm(case)
+            if case.ndim == 2:
+                assert type(got) is float
+            np.testing.assert_array_equal(got, expected)
 
     def test_psd_clip_removes_negative_part(self):
         m = symmetric6(np.diag([1.0, 1, 1, 1, 1, -1e-12]))

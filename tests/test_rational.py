@@ -9,7 +9,10 @@ from viscodual import (
     ScalarCreep,
     ScalarRelaxation,
     laplace_times_p,
+    serialize_material,
 )
+from viscodual.cli import run
+from viscodual.kernels import matrix_norm
 from viscodual.rational import (
     TOL_CLUSTER,
     TOL_NULLSPACE,
@@ -36,6 +39,7 @@ from kernel_corpus import (
     random_scalar_relaxation,
     rate_set,
 )
+from loop_oracles import constant_by_subtraction
 
 
 class TestScalarRationalForms:
@@ -348,23 +352,25 @@ class TestBatchedRefinement:
 
 
 def test_norm_count_is_linear_in_modes(monkeypatch):
-    # every spectral norm of a conversion, counted through numpy: the
-    # count must not grow with candidates x modes (48 poles here)
+    # every spectral norm of a conversion, counted through numpy as a
+    # singular-value call without vectors: the count must not grow with
+    # candidates x modes (48 poles here)
     rng = np.random.default_rng(36)
     k = MatrixRelaxation.make(
         equilibrium=random_gram(rng, 6),
         modes=[(r, random_gram(rng, 6)) for r in np.geomspace(0.1, 100, 8)])
     calls = []
-    norm = np.linalg.norm
+    svd = np.linalg.svd
 
     def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return norm(*args, **kwargs)
+        if kwargs.get("compute_uv") is False:
+            calls.append(args[0].shape)
+        return svd(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "norm", counting)
+    monkeypatch.setattr(np.linalg, "svd", counting)
     dual = viscodual.dualize(k)
     assert len(dual.modes) == 48
-    assert len(calls) <= len(k.modes) + 8
+    assert 0 < len(calls) <= len(k.modes) + 8
 
 
 def _qz_pencil_poles(image):
@@ -376,12 +382,9 @@ def _qz_pencil_poles(image):
     ``image_pencil_roots``; only the eigensolve differs.  Returns
     ``(location, nullspace width)`` pairs.
     """
-    w, v = np.linalg.eigh(image.weights)
-    keep = w > 1e-14 * np.maximum(w[:, -1:], 1e-300)
-    factors = v * np.sqrt(np.where(keep, w, 0.0))[:, None, :]
-    blocks = np.sqrt(image.rates)[:, None, None] * factors
-    block = blocks.transpose(1, 0, 2).reshape(6, -1)[:, keep.ravel()]
-    block_rates = np.repeat(image.rates, keep.sum(axis=1))
+    factor, ranks = image.weight_factors
+    block_rates = np.repeat(image.rates, ranks)
+    block = factor * np.sqrt(block_rates)
     dim = 6 + block_rates.size
     mm = np.zeros((dim, dim))
     ww = np.zeros((dim, dim))
@@ -400,7 +403,7 @@ def _qz_pencil_poles(image):
     assert np.all(np.abs(eigvals.imag)
                   <= 1e-6 * np.maximum(np.abs(eigvals), rate_scale))
     candidates = -eigvals.real
-    candidates = candidates[candidates > 1e-9 * rate_scale]
+    candidates = candidates[candidates > image.zero_pole_floor]
     candidates = np.sort(_refine_roots(image, candidates))
     if not candidates.size:
         return []
@@ -559,3 +562,48 @@ class TestImagePencil:
                 # rounding-level negative eigenvalue can survive
                 floor = -1e-14 * max(1.0, np.linalg.norm(w, 2))
                 assert np.linalg.eigvalsh(w)[0] >= floor
+
+
+class TestClosedFormConstant:
+    def test_matches_subtraction(self):
+        # the constant G'G against U(p)^-1 minus the recovered poles, on
+        # zero, singular and full Dirac parts
+        rng = np.random.default_rng(41)
+        singular = 0
+        for make in [random_matrix_relaxation, random_matrix_creep] * 30:
+            image = cbf_image(make(rng, n_max=6))
+            parts = decompose_inverse(image)
+            scale = max(matrix_norm(m) for m in [
+                parts.constant, parts.zero_mass, *(w for _, w in parts.modes)])
+            reference = constant_by_subtraction(
+                image, parts.zero_mass, parts.modes, scale)
+            assert matrix_norm(parts.constant - reference) <= 1e-10 * scale
+            singular += 0 < image.dirac_eigs.size < 6
+        assert singular >= 10
+
+
+def _drop_first_pole(eigs):
+    return eigs[1:]
+
+
+def _shrink_last_basis(eigs):
+    s, basis = eigs[-1]
+    return eigs[:-1] + [(s, basis[:, 1:])]
+
+
+class TestPoleCountCertificate:
+    """A pole set that misses a pole, or part of one, never becomes a dual."""
+
+    @pytest.mark.parametrize("corrupt", [_drop_first_pole, _shrink_last_basis])
+    def test_incomplete_poles_are_a_numeric_failure(self, corrupt, monkeypatch,
+                                                    tmp_path):
+        k = MatrixRelaxation.make(
+            equilibrium=np.eye(6),
+            modes=[(1.0, np.eye(6)), (3.0, 2.0 * np.eye(6))])
+        path = tmp_path / "kernel.json"
+        path.write_text(serialize_material(k))
+        monkeypatch.setattr(viscodual.rational, "image_pencil_roots",
+                            lambda image: corrupt(image_pencil_roots(image)))
+        with pytest.raises(NumericsError, match="pole count"):
+            viscodual.dualize(k)
+        assert run(["dualize", str(path)]) == 3
