@@ -8,6 +8,7 @@ step).  Diagnostics go to standard error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -41,7 +42,10 @@ from .verify import (
 )
 
 
+@functools.cache
 def _build_parser():
+    """The command-line parser, built once per process: ``parse_args``
+    leaves it as it is, so every :func:`run` can share it."""
     parser = argparse.ArgumentParser(
         prog="viscodual",
         description="Convert and verify viscoelastic relaxation/creep kernels")

@@ -7,11 +7,12 @@ numbers for a scalar kernel; :func:`cbf_as_rational`, defined in
 pieces are the dual kernel's coefficients.  Both paths work on that
 partial-fraction form and never multiply it out into monomial
 coefficients, which lose digits on dense or wide spectra.  The scalar path
-bisects the secular equation ``U(-s) = 0`` on the brackets set by the
-interlacing of its roots with the rates and reads the residues off
-``1/U'(-s)``; the 6x6 path linearizes the same data into a symmetric
-pencil, solves it as one symmetric eigenproblem, extracts residues
-through a nullspace formula and certifies the poles by an inertia count.
+solves the secular equation ``U(-s) = 0`` by rational interpolation,
+safeguarded by the brackets that the interlacing of its roots with the
+rates sets, and reads the residues off ``1/U'(-s)``; the 6x6 path
+linearizes the same data into a symmetric pencil, solves it as one
+symmetric eigenproblem, extracts residues through a nullspace formula and
+certifies the poles by an inertia count.
 """
 
 from __future__ import annotations
@@ -30,24 +31,38 @@ from .kernels import (
     square_image,
 )
 
-BISECT_REL_WIDTH = 1e-14    # relative bracket width before the Newton polish
-BISECT_LOG_RATIO = 4.0      # brackets wider than this ratio bisect in log space
-BISECT_MAX_STEPS = 200      # halvings after which a bracket counts as stalled
+ROOT_STEP_REL = 4 * np.finfo(float).eps   # a model step this small (relative) ends a bracket
+ROOT_REL_WIDTH = 1e-14      # a bracket this narrow (relative) stops at its iterate
+ROOT_LOG_RATIO = 4.0        # midpoints of wider brackets are geometric
+ROOT_MAX_STEPS = 200        # evaluations after which a bracket counts as stalled
 TOL_CLUSTER = 1e-8          # relative gap for grouping refined repeated roots
 TOL_NULLSPACE = 1e-8        # singular values below this (relative) span the nullspace
 TOL_CANCEL = 1e-13          # residue norms below this (relative) are numerical dust;
                             # genuine residues can span many orders of magnitude
-TOL_ZERO_POLE = 1e-9        # poles below this times the slowest rate count as at zero
+TOL_ZERO_POLE = 1e-9        # poles below this times the slowest rate (|Y|/|X|
+                            # without modes) count as at zero
 
 
 # ---------------------------------------------------------------------------
 # Scalar duals: the secular equation U(-s) = 0
 # ---------------------------------------------------------------------------
 
-def _secular(X, Y, rates, weights, s):
-    """``U(-s)`` at a vector of points."""
+def _secular_terms(X, Y, rates, weights, split, s):
+    """``U(-s)`` at a vector of points, with the slopes of its two sides.
+
+    ``split`` is ``(2, n, K)``: ``Z_k t_k`` for the rates up to the lower
+    end of the bracket of point ``i`` (row 0) and for the rest (row 1),
+    zeros elsewhere.  Returns ``(value, lower, upper)``: ``value`` in the
+    unexpanded form ``-X s + Y + sum Z_k s/(s - t_k)`` (writing
+    ``s/(s - t) = 1 + t/(s - t)`` cancels at roots far below the fast
+    rates), ``lower = sum_below Z_k t_k/(s - t_k)^2`` and
+    ``upper = X + sum_above Z_k t_k/(s - t_k)^2``; the slope of ``U(-s)``
+    in ``s`` is ``-(lower + upper)``.
+    """
     sk = s[:, None]
-    return -X * s + Y + (sk / (sk - rates)) @ weights
+    gap = sk - rates
+    lower, upper = (split / (gap * gap)).sum(axis=-1)
+    return (sk / gap) @ weights + (Y - X * s), lower, upper + X
 
 
 def _secular_slope(X, rates, weights, s):
@@ -55,55 +70,100 @@ def _secular_slope(X, rates, weights, s):
     return X + (rates * (1.0 / (rates - s[:, None])) ** 2) @ weights
 
 
+def _midpoint(lo, hi):
+    """Bracket midpoints, geometric where ``hi > ROOT_LOG_RATIO * lo``."""
+    return np.where(hi > ROOT_LOG_RATIO * lo, np.sqrt(lo) * np.sqrt(hi),
+                    0.5 * (lo + hi))
+
+
 def interlaced_roots(X, Y, rates, weights):
     """Positive roots ``s`` of ``U(-s) = -X s + Y + sum Z_k s/(s - t_k)``.
 
     ``rates`` must be sorted, positive and distinct, and the scalar data
     nonnegative with positive weights.  The roots interlace the rates: one
-    in ``(0, t_1)`` when ``Y > 0``, one in every ``(t_i, t_{i+1})``, and one
-    above ``t_K`` when ``X > 0``.  On each bracket ``U(-s)`` falls
-    monotonically from above zero to minus infinity, so the sign at the
-    midpoint alone decides which half holds the root; no endpoint is
-    evaluated.  The lowest bracket starts at
-    ``min(t_1, Y/(X + 2 sum Z_k/t_k))/2``, where ``U(-s)`` is still
-    positive, and the highest ends at ``max(2 t_K, 2 (Y + 2 sum Z)/X)``,
-    where it is negative.  Every bracket is bisected at once, in log space
-    while it spans more than a factor of ``BISECT_LOG_RATIO``, to relative
-    width ``BISECT_REL_WIDTH``; each root then takes one Newton step, kept
-    only if it stays inside its bracket.  A NaN in ``U(-s)`` stalls its
-    bracket, and a bracket still open after ``BISECT_MAX_STEPS`` halvings
-    raises :class:`NumericsError`.
+    in ``(a, b) = (0, t_1)`` when ``Y > 0``, one in every ``(t_i, t_{i+1})``,
+    and one in ``(t_K, inf)`` when ``X > 0``.  On each bracket ``U(-s)``
+    falls monotonically from above zero to minus infinity.  The search
+    interval ``(lo, hi)`` starts as ``(a, b)``, except that the lowest
+    starts at ``min(t_1, Y/(X + 2 sum Z_k/t_k))/2``, where ``U(-s)`` is
+    still positive, and the highest ends at ``max(2 t_K, 2 (Y + 2 sum Z)/X)``,
+    where it is negative.
+
+    All brackets iterate at once, from the midpoint of ``(lo, hi)``
+    (geometric while it spans more than a factor of ``ROOT_LOG_RATIO``),
+    by the rational interpolation of R.-C. Li, *Solving secular equations
+    stably and efficiently* (LAWN 89, 1993), the "middle way" of LAPACK
+    ``dlaed4``.  At an iterate ``x`` the sign of ``U(-x)`` moves ``lo`` or
+    ``hi`` to ``x``.  The terms with poles up to ``a`` are modelled as
+    ``q1/(s - a)``, the rest as ``q2/(s - b)`` (as ``-X s`` in the top
+    bracket), each matched in value and slope at ``x``
+    (:func:`_secular_terms`), and the model's root in ``(a, b)`` is the
+    next iterate if it lies inside ``(lo, hi)``.  Otherwise the next
+    iterate is, the first time in a bracket, the float next to the end the
+    step passed (a root closer to a rate than the rounding of the step is
+    found there at once) and after that the midpoint of ``(lo, hi)``.  A
+    bracket stops when its model step is at most ``ROOT_STEP_REL`` (4 ulps)
+    of ``x``, its root being that step, or ``x`` if the step leaves
+    ``(lo, hi)``; or when the step leaves a bracket narrowed to relative
+    width ``ROOT_REL_WIDTH``, its root then being ``x``.  The iteration
+    converges quadratically, in about five evaluations of ``U(-s)``.  A NaN
+    in ``U(-s)`` raises :class:`NumericsError` at once, and so does a
+    bracket still open after ``ROOT_MAX_STEPS`` evaluations.
     """
     count = rates.size
-    top = rates[-1] if count else 0.0
-    lo = np.concatenate([[0.0], rates])
-    hi = np.append(rates, max(2.0 * top, 2.0 * (Y + 2.0 * weights.sum()) / X)
-                   if X > 0.0 else np.inf)
-    keep = np.ones(count + 1, dtype=bool)
-    keep[0] = Y > 0.0
-    keep[-1] &= X > 0.0
-    lo, hi = lo[keep], hi[keep]
-    if keep[0]:
-        lo[0] = 0.5 * min(hi[0], Y / (X + 2.0 * np.sum(weights / rates)))
+    first, last = (0 if Y > 0.0 else 1), count + (1 if X > 0.0 else 0)
+    bounds = np.concatenate([[0.0], rates, [np.inf]])
+    a, b = bounds[first:last], bounds[first + 1:last + 1]
+    lo, hi = a.copy(), b.copy()
+    if lo.size and X > 0.0:
+        hi[-1] = max(2.0 * bounds[count], 2.0 * (Y + 2.0 * weights.sum()) / X)
+    if lo.size and Y > 0.0:
+        lo[0] = 0.5 * min(hi[0], Y / (X + 2.0 * (weights / rates).sum()))
+    below = rates <= a[:, None]
+    split = np.array([below, ~below]) * (rates * weights)
 
-    for _ in range(BISECT_MAX_STEPS):
-        active = hi - lo > BISECT_REL_WIDTH * lo
-        if not active.any():
-            break
-        wide = hi > BISECT_LOG_RATIO * lo
-        mid = np.where(wide, np.sqrt(lo) * np.sqrt(hi), 0.5 * (lo + hi))
-        value = _secular(X, Y, rates, weights, mid)
-        # an exact zero closes the bracket on both sides; a NaN stalls it
-        lo = np.where(active & (value >= 0.0), mid, lo)
-        hi = np.where(active & (value <= 0.0), mid, hi)
-    else:
-        raise NumericsError("root bisection stalled: U(-s) is NaN or the "
-                            "bracket is below floating-point resolution")
-
-    roots = 0.5 * (lo + hi)
-    polished = roots + (_secular(X, Y, rates, weights, roots)
-                        / _secular_slope(X, rates, weights, roots))
-    return np.where((lo < polished) & (polished < hi), polished, roots)
+    x = _midpoint(lo, hi)
+    done = np.zeros(x.size, dtype=bool)
+    clipped = np.zeros(x.size, dtype=bool)
+    evaluations = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while not done.all():
+            if evaluations == ROOT_MAX_STEPS:
+                raise NumericsError("root iteration stalled: a bracket is "
+                                    "below floating-point resolution")
+            evaluations += 1
+            value, lower, upper = _secular_terms(X, Y, rates, weights,
+                                                 split, x)
+            np.copyto(lo, x, where=value >= 0.0)
+            np.copyto(hi, x, where=value <= 0.0)
+            # With p = x - a and r = 1/(b - x) (0 in the top bracket), the
+            # model times (s - a)(s - b) r is alpha eta^2 + 2 half eta - f p
+            # in eta = s - x; its root in (a, b) is taken free of cancellation.
+            p = x - a
+            r = 1.0 / (b - x)
+            fp = value * p
+            alpha = (value - lower * p) * r + upper
+            half = 0.5 * ((lower + upper) * p - value * (1.0 - p * r))
+            root = np.sqrt(half * half + alpha * fp)
+            eta = np.where(half > 0.0, fp / (half + root),
+                           (root - half) / alpha)
+            stop = np.abs(eta) <= ROOT_STEP_REL * x
+            step = x + eta
+            inside = (lo < step) & (step < hi)
+            if not inside.all():
+                if np.isnan(value).any():
+                    raise NumericsError("U(-s) is NaN in a root bracket")
+                stop |= hi - lo <= ROOT_REL_WIDTH * lo
+                # the first step past an end tries the float next to it,
+                # later ones halve the bracket
+                edge = np.where(step >= hi, np.nextafter(hi, lo),
+                                np.nextafter(lo, hi))
+                fallback = np.where(clipped, _midpoint(lo, hi), edge)
+                clipped |= ~inside
+                step = np.where(inside, step, np.where(stop, x, fallback))
+            x = np.where(done, x, step)
+            done |= stop
+    return x
 
 
 def stieltjes_partial_fractions(X, Y, rates, weights, roots):
@@ -221,8 +281,14 @@ class CbfImage:
 
     @property
     def zero_pole_floor(self):
-        """Poles up to here count as at zero, in the pencil and the zero mass."""
-        return TOL_ZERO_POLE * (self.rates.min() if self.rates.size else 1.0)
+        """Poles up to here count as at zero, in the pencil and the zero mass:
+        ``TOL_ZERO_POLE`` times the slowest rate, or, without modes, times
+        ``|Y|/|X|`` (the pole ``Y/X`` of a scalar; 0 when ``X = 0``, where
+        ``U = Y`` has no pole), so that the floor has the units of a rate."""
+        if self.rates.size:
+            return TOL_ZERO_POLE * self.rates.min()
+        dirac, constant = self.norms[:2]
+        return TOL_ZERO_POLE * constant / dirac if dirac > 0.0 else 0.0
 
 
 def cbf_image(kernel):

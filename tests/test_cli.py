@@ -320,6 +320,31 @@ class TestUsage:
         assert run(["respond", str(solid_file), str(history)]) == 2
 
 
+def test_runs_share_one_parser(solid_file, tmp_path, monkeypatch):
+    # the parser is built on the first run only, and a usage error in
+    # between leaves it fit for the next command
+    built = []
+    init = viscodual.cli.argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(viscodual.cli.argparse.ArgumentParser, "__init__",
+                        counting)
+    viscodual.cli._build_parser.cache_clear()
+    dual = tmp_path / "dual.json"
+    assert run(["dualize", str(solid_file), "-o", str(dual)]) == 0
+    assert run(["check", str(solid_file), "--against", str(dual)]) == 0
+    assert run(["dualize", str(solid_file), "--no-such-option"]) == 2
+    assert run(["check", str(solid_file), "--against",
+                str(solid_file)]) == 1
+    second = tmp_path / "second.json"
+    assert run(["dualize", str(solid_file), "-o", str(second)]) == 0
+    assert second.read_text() == dual.read_text()
+    assert built.count("viscodual") == 1
+
+
 def test_cli_import_leaves_scipy_out():
     # scipy is a test dependency only; the package runs on numpy alone
     src = os.path.dirname(os.path.dirname(os.path.abspath(viscodual.__file__)))

@@ -204,6 +204,21 @@ class TestMatrixDuality:
                 laplace_times_p(r, p) @ laplace_times_p(c, p), np.eye(6),
                 rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("equilibrium", [1e-10, 1e-8, 1.0, 1e10])
+    def test_mode_free_kernel_keeps_its_pole(self, equilibrium):
+        # U(p) = p I + e I has its pole at e; with no rate to measure
+        # "zero" against, the floor is relative to |Y|/|X|, so a pole at
+        # 1e-10 stays a mode instead of being taken for a zero mass
+        r = MatrixRelaxation.make(newtonian=np.eye(6),
+                                  equilibrium=equilibrium * np.eye(6))
+        c = dualize(r)
+        [(rate, _)] = c.modes
+        assert rate == pytest.approx(equilibrium, rel=1e-14)
+        for p in np.geomspace(1e-3, 1e3, 7) * equilibrium:
+            np.testing.assert_allclose(
+                laplace_times_p(r, p) @ laplace_times_p(c, p), np.eye(6),
+                rtol=0.0, atol=1e-12)
+
     @settings(deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2 ** 32 - 1),
            decades=st.floats(-8.0, 8.0),

@@ -1,6 +1,8 @@
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 import viscodual
 from viscodual import (
@@ -133,6 +135,147 @@ class TestInterlacedRoots:
         k = ScalarRelaxation(0.0, 1.0, ((1.0, 1.0), (3.0, np.nan)))
         with pytest.raises(NumericsError, match="NaN"):
             viscodual.dualize(k)
+
+
+def _mp_secular(X, Y, rates, weights):
+    """Roots of ``U(-s)`` and masses ``1/U'(-s)`` at 40 digits, found apart
+    from :func:`interlaced_roots`: each bracket is halved in mpmath to
+    relative width 1e-12, then polished by ``mpmath.findroot``."""
+    with mpmath.workdps(40):
+        X, Y = mpmath.mpf(X), mpmath.mpf(Y)
+        pairs = [(mpmath.mpf(t), mpmath.mpf(w))
+                 for t, w in zip(rates, weights)]
+
+        def value(s):
+            return -X * s + Y + mpmath.fsum(w * s / (s - t) for t, w in pairs)
+
+        def slope(s):
+            return X + mpmath.fsum(w * t / (t - s) ** 2 for t, w in pairs)
+
+        ends = [mpmath.mpf(0)] + [t for t, _ in pairs]
+        brackets = list(zip(ends, ends[1:]))[0 if Y > 0 else 1:]
+        if X > 0:
+            total = mpmath.fsum(w for _, w in pairs)
+            brackets.append((ends[-1], 2 * max(ends[-1], (Y + 2 * total) / X)))
+        roots = []
+        for a, b in brackets:
+            lo, hi = a, b
+            while hi - lo > mpmath.mpf(10) ** -12 * hi:
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if value(mid) > 0 else (lo, mid)
+            s = mpmath.findroot(value, (lo, hi), solver="secant")
+            assert a < s < b
+            roots.append(s)
+        return (np.array([float(s) for s in roots]),
+                np.array([float(1 / slope(s)) for s in roots]))
+
+
+def _decade_image(seed, decades, constant):
+    """``(X, Y, rates, weights)`` of a Prony fit with one jittered rate per
+    decade over ``decades`` decades around 1, weights in [0.2, 5]."""
+    rng = np.random.default_rng(seed)
+    rates = 10.0 ** (-decades / 2.0 + np.arange(decades + 1)
+                     + rng.uniform(-0.25, 0.25, size=decades + 1))
+    return 0.0, constant, rates, rng.uniform(0.2, 5.0, size=decades + 1)
+
+
+def _counting_evaluations(monkeypatch):
+    """Wrap the evaluator of the root iteration; returns the list of the
+    points it is called at, one entry per call."""
+    calls = []
+    evaluate = viscodual.rational._secular_terms
+
+    def counting(*args):
+        calls.append(args[-1])
+        return evaluate(*args)
+
+    monkeypatch.setattr(viscodual.rational, "_secular_terms", counting)
+    return calls
+
+
+class TestSecularIteration:
+    """The rational-interpolation root iteration against a 40-digit oracle."""
+
+    @pytest.mark.parametrize("image", [
+        _decade_image(1, 20, 0.0), _decade_image(2, 20, 1.3),
+        _decade_image(3, 30, 0.0), _decade_image(4, 30, 0.7),
+        (0.0, 0.0, 10.0 ** np.arange(-8.0, 9.0), np.ones(17)),
+        (0.0, 1.0, 10.0 ** np.arange(-8.0, 9.0), np.ones(17)),
+    ], ids=["20-fluid", "20-solid", "30-fluid", "30-solid",
+            "17-equal-fluid", "17-equal-solid"])
+    def test_wide_spectra_against_high_precision(self, image):
+        roots = interlaced_roots(*image)
+        _, _, masses = stieltjes_partial_fractions(*image, roots)
+        oracle_roots, oracle_masses = _mp_secular(*image)
+        assert roots.shape == oracle_roots.shape
+        assert np.max(np.abs(roots - oracle_roots) / oracle_roots) <= 1e-14
+        assert np.max(np.abs(masses - oracle_masses) / oracle_masses) <= 1e-12
+
+    @pytest.mark.parametrize("image", [
+        (0.0, 1.0, [1.0, 1.0 + 1e-11], [1.0, 1.0]),
+        (1.0, 1.0, [1.0, 1.0 + 1e-11, 3.0], [1.0, 2.0, 1.0]),
+        # both roots lie 1e-12 from the rate 1
+        (0.0, 1.0, [1.0, 2.0], [2e-24, 1.0]),
+    ], ids=["close-rates", "close-rates-inside", "roots-at-a-rate"])
+    def test_adversarial_brackets(self, image):
+        X, Y, rates, weights = image
+        roots = interlaced_roots(X, Y, np.array(rates), np.array(weights))
+        oracle, _ = _mp_secular(*image)
+        assert roots.shape == oracle.shape
+        assert np.max(np.abs(roots - oracle) / oracle) <= 1e-14
+        # strictly interlaced
+        merged = np.sort(np.concatenate([roots, rates]))
+        assert np.all(np.diff(merged) > 0.0)
+
+    @pytest.mark.parametrize("X, Y, weights", [
+        (0.0, 1.0, [1.0, 1e-20]), (1.0, 1.0, [1.0, 1e-20])])
+    def test_root_closer_to_a_rate_than_an_ulp(self, X, Y, weights,
+                                               monkeypatch):
+        # the root next to the rate 2 lies 1e-20 below it: the model step
+        # rounds onto the rate, and the float next to it is the answer
+        calls = _counting_evaluations(monkeypatch)
+        roots = interlaced_roots(X, Y, np.array([1.0, 2.0]),
+                                 np.array(weights))
+        assert np.nextafter(2.0, 0.0) in roots.tolist()
+        assert len(calls) <= 6
+
+    @settings(deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           decades=st.floats(-100.0, 100.0),
+           relaxation=st.booleans())
+    def test_roots_follow_the_time_unit(self, seed, decades, relaxation):
+        # rates c t and dirac X/c give U(-s/c) for U(-s): every root is
+        # scaled by c, over two hundred decades of c
+        c = 10.0 ** decades
+        rng = np.random.default_rng(seed)
+        make = random_scalar_relaxation if relaxation else random_scalar_creep
+        X, Y, rates, weights = cbf_as_rational(make(rng, n_max=12))
+        roots = interlaced_roots(X, Y, rates, weights)
+        scaled = interlaced_roots(X / c, Y, c * rates, weights)
+        np.testing.assert_allclose(scaled, c * roots, rtol=1e-14, atol=0.0)
+
+    def test_evaluations_per_call(self, monkeypatch):
+        # a timing-free guard: a fall-back to bisection (about 50
+        # evaluations per call) fails here on any host
+        calls = _counting_evaluations(monkeypatch)
+        rng = np.random.default_rng(41)
+        counts = []
+        for i in range(400):
+            make = random_scalar_relaxation if i % 2 else random_scalar_creep
+            image = cbf_as_rational(make(rng, n_max=12))
+            calls.clear()
+            if interlaced_roots(*image).size:
+                counts.append(len(calls))
+        assert len(counts) >= 300
+        assert np.median(counts) <= 7
+        assert max(counts) <= 12
+
+    def test_nan_raises_at_once(self, monkeypatch):
+        calls = _counting_evaluations(monkeypatch)
+        with pytest.raises(NumericsError, match="NaN"):
+            interlaced_roots(np.nan, 1.0, np.array([1.0, 3.0]),
+                             np.array([1.0, 2.0]))
+        assert 1 <= len(calls) <= 2
 
 
 class TestScalarPartialFractions:
