@@ -39,8 +39,9 @@ TOL_CLUSTER = 1e-8          # relative gap for grouping refined repeated roots
 TOL_NULLSPACE = 1e-8        # singular values below this (relative) span the nullspace
 TOL_CANCEL = 1e-13          # residue norms below this (relative) are numerical dust;
                             # genuine residues can span many orders of magnitude
-TOL_ZERO_POLE = 1e-9        # poles below this times the slowest rate (|Y|/|X|
-                            # without modes) count as at zero
+TOL_ZERO_POLE = 1e-9        # poles below this times the slowest rate count as at zero
+TOL_ZERO_POLE_NO_MODES = 1e-12  # without modes, the same relative to Y on the
+                                # range of X over |X| (zero_pole_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -98,17 +99,15 @@ def interlaced_roots(X, Y, rates, weights):
     ``q1/(s - a)``, the rest as ``q2/(s - b)`` (as ``-X s`` in the top
     bracket), each matched in value and slope at ``x``
     (:func:`_secular_terms`), and the model's root in ``(a, b)`` is the
-    next iterate if it lies inside ``(lo, hi)``.  Otherwise the next
-    iterate is, the first time in a bracket, the float next to the end the
-    step passed (a root closer to a rate than the rounding of the step is
-    found there at once) and after that the midpoint of ``(lo, hi)``.  A
-    bracket stops when its model step is at most ``ROOT_STEP_REL`` (4 ulps)
-    of ``x``, its root being that step, or ``x`` if the step leaves
-    ``(lo, hi)``; or when the step leaves a bracket narrowed to relative
-    width ``ROOT_REL_WIDTH``, its root then being ``x``.  The iteration
-    converges quadratically, in about five evaluations of ``U(-s)``.  A NaN
-    in ``U(-s)`` raises :class:`NumericsError` at once, and so does a
-    bracket still open after ``ROOT_MAX_STEPS`` evaluations.
+    next iterate if it lies inside ``(lo, hi)``, and the midpoint of
+    ``(lo, hi)`` otherwise.  A bracket stops when its model step is at most
+    ``ROOT_STEP_REL`` (4 ulps) of ``x``, its root being that step, or ``x``
+    if the step leaves ``(lo, hi)``; or when the step leaves a bracket
+    narrowed to relative width ``ROOT_REL_WIDTH``, its root then being
+    ``x``.  The iteration converges quadratically, in about five
+    evaluations of ``U(-s)``.  A NaN in ``U(-s)`` raises
+    :class:`NumericsError` at once, and so does a bracket still open after
+    ``ROOT_MAX_STEPS`` evaluations.
     """
     count = rates.size
     first, last = (0 if Y > 0.0 else 1), count + (1 if X > 0.0 else 0)
@@ -124,7 +123,6 @@ def interlaced_roots(X, Y, rates, weights):
 
     x = _midpoint(lo, hi)
     done = np.zeros(x.size, dtype=bool)
-    clipped = np.zeros(x.size, dtype=bool)
     evaluations = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         while not done.all():
@@ -154,13 +152,8 @@ def interlaced_roots(X, Y, rates, weights):
                 if np.isnan(value).any():
                     raise NumericsError("U(-s) is NaN in a root bracket")
                 stop |= hi - lo <= ROOT_REL_WIDTH * lo
-                # the first step past an end tries the float next to it,
-                # later ones halve the bracket
-                edge = np.where(step >= hi, np.nextafter(hi, lo),
-                                np.nextafter(lo, hi))
-                fallback = np.where(clipped, _midpoint(lo, hi), edge)
-                clipped |= ~inside
-                step = np.where(inside, step, np.where(stop, x, fallback))
+                step = np.where(inside, step,
+                                np.where(stop, x, _midpoint(lo, hi)))
             x = np.where(done, x, step)
             done |= stop
     return x
@@ -279,16 +272,21 @@ class CbfImage:
         out = self.norms[0] * s + self.norms[1] + ratio @ self.norms[2:]
         return np.maximum(out, 1e-300)
 
-    @property
+    @cached_property
     def zero_pole_floor(self):
         """Poles up to here count as at zero, in the pencil and the zero mass:
-        ``TOL_ZERO_POLE`` times the slowest rate, or, without modes, times
-        ``|Y|/|X|`` (the pole ``Y/X`` of a scalar; 0 when ``X = 0``, where
-        ``U = Y`` has no pole), so that the floor has the units of a rate."""
+        ``TOL_ZERO_POLE`` times the slowest rate, or, without modes,
+        ``TOL_ZERO_POLE_NO_MODES`` times ``|Q1' Y Q1|/|X|`` (``Q1`` is
+        ``dirac_range``; 0 when ``X = 0``, where ``U = Y`` has no pole),
+        the scale at which the pencil's matrix rounds.  Either way the
+        floor has the units of a rate."""
         if self.rates.size:
             return TOL_ZERO_POLE * self.rates.min()
-        dirac, constant = self.norms[:2]
-        return TOL_ZERO_POLE * constant / dirac if dirac > 0.0 else 0.0
+        q1 = self.dirac_range
+        if not q1.shape[1]:
+            return 0.0
+        return (TOL_ZERO_POLE_NO_MODES * matrix_norm(q1.T @ self.constant @ q1)
+                / self.norms[0])
 
 
 def cbf_image(kernel):

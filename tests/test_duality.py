@@ -204,17 +204,26 @@ class TestMatrixDuality:
                 laplace_times_p(r, p) @ laplace_times_p(c, p), np.eye(6),
                 rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("equilibrium", [1e-10, 1e-8, 1.0, 1e10])
-    def test_mode_free_kernel_keeps_its_pole(self, equilibrium):
-        # U(p) = p I + e I has its pole at e; with no rate to measure
-        # "zero" against, the floor is relative to |Y|/|X|, so a pole at
-        # 1e-10 stays a mode instead of being taken for a zero mass
-        r = MatrixRelaxation.make(newtonian=np.eye(6),
-                                  equilibrium=equilibrium * np.eye(6))
+    @pytest.mark.parametrize("newtonian, equilibrium", [
+        ([1] * 6, [1e-10] * 6), ([1] * 6, [1e-8] * 6), ([1] * 6, [1] * 6),
+        ([1] * 6, [1e10] * 6),
+        ([1] * 6, [1e-10, 1, 1, 1, 1, 1]),
+        ([1] * 6, [1e-4, 1e6, 1, 1, 1, 1]),
+        ([1, 0, 1, 1, 1, 1], [1e-7, 1e6, 1, 1, 1, 1]),
+    ], ids=["iso-1e-10", "iso-1e-8", "iso-1", "iso-1e10", "aniso-10-decades",
+            "aniso-1e-4-under-1e6", "singular-X-1e-7-under-1e6"])
+    def test_mode_free_kernel_keeps_its_poles(self, newtonian, equilibrium):
+        # U(p) = p X + Y, diagonal, has its poles at y/x; with no rate to
+        # measure "zero" against, the floor is relative to Y on the range
+        # of X over |X|, so slow poles stay modes instead of being taken
+        # for a zero mass, however far below the fast ones and the units
+        x, y = np.array(newtonian, float), np.array(equilibrium, float)
+        poles = np.unique(y[x > 0] / x[x > 0])
+        r = MatrixRelaxation.make(newtonian=np.diag(x), equilibrium=np.diag(y))
         c = dualize(r)
-        [(rate, _)] = c.modes
-        assert rate == pytest.approx(equilibrium, rel=1e-14)
-        for p in np.geomspace(1e-3, 1e3, 7) * equilibrium:
+        rates = np.sort([rate for rate, _ in c.modes])
+        np.testing.assert_allclose(rates, poles, rtol=1e-14, atol=0.0)
+        for p in np.geomspace(1e-3 * poles[0], 1e3 * poles[-1], 13):
             np.testing.assert_allclose(
                 laplace_times_p(r, p) @ laplace_times_p(c, p), np.eye(6),
                 rtol=0.0, atol=1e-12)
