@@ -87,33 +87,43 @@ def symmetric6(m, tol=TOL_SYM):
 
 def matrix_norm(m):
     """Spectral norm of a matrix (a float), or of each matrix of a
-    ``(n, d, d)`` stack (an array), from one batched singular-value call."""
+    ``(n, d, d)`` stack (an array), from one batched singular-value call.
+
+    Only non-symmetric matrices need it; a symmetric stack has its norms
+    from the eigenvalues it is decomposed into anyway (:func:`eig_norm`).
+    """
     norms = np.linalg.svd(m, compute_uv=False)[..., 0]
     return float(norms) if norms.ndim == 0 else norms
 
 
-def psd_flags(stack, tol=TOL_PSD, norms=None):
+def eig_norm(w):
+    """Spectral norms of symmetric matrices from their eigenvalues in
+    ascending order (the last axis of ``w``): ``max(|w_0|, |w_-1|)``."""
+    return np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1]))
+
+
+def psd_flags(stack, tol=TOL_PSD):
     """Semidefiniteness and definiteness of every matrix of a ``(n, d, d)``
     stack: the one predicate behind every such test in the package.
 
-    A matrix is positive semidefinite when it is zero, or when it is
-    symmetric within ``TOL_PSD`` and no eigenvalue is below ``-tol``; it is
-    positive definite when it is symmetric within ``TOL_PSD`` and its lowest
+    A matrix is positive semidefinite when it is symmetric within
+    ``TOL_PSD`` and no eigenvalue is below ``-tol``; it is positive
+    definite when it is symmetric within ``TOL_PSD`` and its lowest
     eigenvalue is above ``tol``; all relative to its spectral norm.  ``tol``
-    may hold one value per matrix.  The norms come from one batched call
-    unless the caller passes them, the eigenvalues of the symmetric parts
-    from one batched ``eigvalsh``.  Returns ``(psd, pd, norms)``.
+    may hold one value per matrix.  One batched ``eigvalsh`` of the
+    symmetric parts gives every eigenvalue and the norms (:func:`eig_norm`;
+    a matrix symmetric within ``TOL_PSD`` has the norm of its symmetric
+    part to that tolerance).  Returns ``(psd, pd, norms)``.
     """
     stack = np.asarray(stack, dtype=float)
     flipped = np.swapaxes(stack, -1, -2)
-    if norms is None:
-        norms = matrix_norm(stack)
+    w = np.linalg.eigvalsh(0.5 * (stack + flipped))
+    norms = eig_norm(w)
     floor = tol * norms
     symmetric = (np.max(np.abs(stack - flipped), axis=(-2, -1), initial=0.0)
                  <= TOL_PSD * norms)
-    lowest = np.linalg.eigvalsh(0.5 * (stack + flipped))[..., 0]
-    return ((norms == 0.0) | (symmetric & (lowest >= -floor)),
-            symmetric & (lowest > floor), norms)
+    lowest = w[..., 0]
+    return symmetric & (lowest >= -floor), symmetric & (lowest > floor), norms
 
 
 def is_psd(m, tol=TOL_PSD):
@@ -124,15 +134,16 @@ def is_pd(m, tol=TOL_PSD):
     return bool(psd_flags(np.asarray(m, dtype=float)[None], tol)[1][0])
 
 
-def psd_clip(m):
+def psd_clip(m, spectrum=None):
     """Clip negative eigenvalues to zero, for one matrix or a stack.
 
+    ``spectrum`` is ``np.linalg.eigh(m)`` when the caller has it already.
     Returns ``(clipped, min_eig)`` where ``min_eig`` is the smallest
     eigenvalue before clipping (one per matrix for a stack); the caller
     decides whether it was tolerable.
     """
     m = np.asarray(m, dtype=float)
-    w, v = np.linalg.eigh(m)
+    w, v = np.linalg.eigh(m) if spectrum is None else spectrum
     low = w[..., 0]
     negative = low < 0.0
     if np.any(negative):
@@ -213,9 +224,9 @@ def _matrix_parts(first, second, names, modes, kind):
     """Validated coefficients and canonical modes of a 6x6 kernel.
 
     The two coefficients and the mode weights are checked as one stack: one
-    batched spectral norm and one batched eigenvalue call give every
-    positive-semidefiniteness test, the kernel scale and the drop test of
-    each mode that is not merged.
+    batched eigenvalue call gives every positive-semidefiniteness test, the
+    spectral norms behind the kernel scale and the drop test of each mode
+    that is not merged.
     """
     coefs = [np.zeros((6, 6)) if m is None else np.asarray(m, dtype=float)
              for m in (first, second)]
@@ -236,7 +247,8 @@ def _matrix_parts(first, second, names, modes, kind):
     if bad.size:
         raise InvalidKernel(f"mode weight at rate {rates[bad[0]]} is not "
                             "positive semidefinite")
-    canon = _canonical_modes(rates, stack[2:], norms[2:], scale, matrix_norm)
+    canon = _canonical_modes(rates, stack[2:], norms[2:], scale,
+                             lambda m: eig_norm(np.linalg.eigvalsh(m)))
     return (_frozen(stack[0]), _frozen(stack[1]),
             tuple((r, _frozen(w)) for r, w in canon))
 

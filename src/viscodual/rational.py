@@ -12,7 +12,10 @@ safeguarded by the brackets that the interlacing of its roots with the
 rates sets, and reads the residues off ``1/U'(-s)``; the 6x6 path
 linearizes the same data into a symmetric pencil, solves it as one
 symmetric eigenproblem, extracts residues through a nullspace formula and
-certifies the poles by an inertia count.
+certifies the poles by an inertia count.  Every matrix the 6x6 path
+decomposes (``X``, ``Y``, the ``Z_k``, ``U(-s)`` and the residues) is
+symmetric, so each stack of them takes one batched symmetric eigensolve,
+whose eigenvalues also give their spectral norms; no step takes an SVD.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .kernels import (
     NumericsError,
     TOL_PSD,
     cbf_as_rational,  # noqa: F401  (re-exported: the map lives in kernels)
-    matrix_norm,
+    eig_norm,
     psd_clip,
     square_image,
 )
@@ -36,7 +39,8 @@ ROOT_REL_WIDTH = 1e-14      # a bracket this narrow (relative) stops at its iter
 ROOT_LOG_RATIO = 4.0        # midpoints of wider brackets are geometric
 ROOT_MAX_STEPS = 200        # evaluations after which a bracket counts as stalled
 TOL_CLUSTER = 1e-8          # relative gap for grouping refined repeated roots
-TOL_NULLSPACE = 1e-8        # singular values below this (relative) span the nullspace
+TOL_POLISH = 1e-12          # a Newton step this small (relative) ends the polish
+TOL_NULLSPACE = 1e-8        # |eigenvalues| below this (relative) span the nullspace
 TOL_CANCEL = 1e-13          # residue norms below this (relative) are numerical dust;
                             # genuine residues can span many orders of magnitude
 TOL_ZERO_POLE = 1e-9        # poles below this times the slowest rate count as at zero
@@ -49,21 +53,19 @@ TOL_ZERO_POLE_NO_MODES = 1e-12  # without modes, the same relative to Y on the
 # ---------------------------------------------------------------------------
 
 def _secular_terms(X, Y, rates, weights, split, s):
-    """``U(-s)`` at a vector of points, with the slopes of its two sides.
+    """``U(-s)`` at a vector of points, with the slopes of groups of terms.
 
-    ``split`` is ``(2, n, K)``: ``Z_k t_k`` for the rates up to the lower
-    end of the bracket of point ``i`` (row 0) and for the rest (row 1),
-    zeros elsewhere.  Returns ``(value, lower, upper)``: ``value`` in the
-    unexpanded form ``-X s + Y + sum Z_k s/(s - t_k)`` (writing
-    ``s/(s - t) = 1 + t/(s - t)`` cancels at roots far below the fast
-    rates), ``lower = sum_below Z_k t_k/(s - t_k)^2`` and
-    ``upper = X + sum_above Z_k t_k/(s - t_k)^2``; the slope of ``U(-s)``
-    in ``s`` is ``-(lower + upper)``.
+    ``split`` is ``(m, n, K)``: row ``j`` holds ``Z_k t_k`` for the rates
+    of group ``j`` at point ``i``, zeros elsewhere.  Returns
+    ``(value, slopes)``: ``value`` in the unexpanded form
+    ``-X s + Y + sum Z_k s/(s - t_k)`` (writing ``s/(s - t) = 1 + t/(s - t)``
+    cancels at roots far below the fast rates), and the ``(m, n)`` sums
+    ``sum_group Z_k t_k/(s - t_k)^2``.  Over groups that partition the
+    rates, the slope of ``U(-s)`` in ``s`` is ``-(X + sum of the slopes)``.
     """
     sk = s[:, None]
     gap = sk - rates
-    lower, upper = (split / (gap * gap)).sum(axis=-1)
-    return (sk / gap) @ weights + (Y - X * s), lower, upper + X
+    return (sk / gap) @ weights + (Y - X * s), (split / (gap * gap)).sum(-1)
 
 
 def _secular_slope(X, rates, weights, s):
@@ -100,11 +102,20 @@ def interlaced_roots(X, Y, rates, weights):
     bracket), each matched in value and slope at ``x``
     (:func:`_secular_terms`), and the model's root in ``(a, b)`` is the
     next iterate if it lies inside ``(lo, hi)``, and the midpoint of
-    ``(lo, hi)`` otherwise.  A bracket stops when its model step is at most
-    ``ROOT_STEP_REL`` (4 ulps) of ``x``, its root being that step, or ``x``
-    if the step leaves ``(lo, hi)``; or when the step leaves a bracket
-    narrowed to relative width ``ROOT_REL_WIDTH``, its root then being
-    ``x``.  The iteration converges quadratically, in about five
+    ``(lo, hi)`` otherwise.  Where ``|U(-x)|`` keeps its sign and does not
+    fall tenfold in two steps running, an open bracket switches between
+    this model and Li's fixed-weight one: the pole at the end of ``(a, b)``
+    nearer to ``x`` keeps its true ``q = Z_k t_k``, and a model pole at
+    the other end takes the slope of all the other terms.  Next to a pole
+    of tiny weight, the middle way lends that pole the slope of its
+    heavier neighbours and converges only linearly, failing the test at
+    every step.  (``dlaed4`` switches after one such step; one happens
+    after the crude start in the middle of a bracket, from where the
+    middle way is quadratic anyway.)  A bracket stops when its model step
+    is at most ``ROOT_STEP_REL`` (4 ulps) of ``x``, its root being that
+    step, or ``x`` if the step leaves ``(lo, hi)``; or when the step leaves
+    a bracket narrowed to relative width ``ROOT_REL_WIDTH``, its root then
+    being ``x``.  The iteration converges quadratically, in about five
     evaluations of ``U(-s)``.  A NaN in ``U(-s)`` raises
     :class:`NumericsError` at once, and so does a bracket still open after
     ``ROOT_MAX_STEPS`` evaluations.
@@ -118,20 +129,47 @@ def interlaced_roots(X, Y, rates, weights):
         hi[-1] = max(2.0 * bounds[count], 2.0 * (Y + 2.0 * weights.sum()) / X)
     if lo.size and Y > 0.0:
         lo[0] = 0.5 * min(hi[0], Y / (X + 2.0 * (weights / rates).sum()))
+    # the middle way's groups: the rates up to a, and the rest
+    terms = rates * weights
     below = rates <= a[:, None]
-    split = np.array([below, ~below]) * (rates * weights)
+    split = np.array([below, ~below]) * terms
 
     x = _midpoint(lo, hi)
     done = np.zeros(x.size, dtype=bool)
+    # the brackets on fixed weights and those slow in the last step, as
+    # masks, or None while there are none
+    fixed = slow = None
     evaluations = 0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # (a ratio of two values of U(-s) may overflow; it only has to exceed 0.1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while not done.all():
             if evaluations == ROOT_MAX_STEPS:
                 raise NumericsError("root iteration stalled: a bracket is "
                                     "below floating-point resolution")
             evaluations += 1
-            value, lower, upper = _secular_terms(X, Y, rates, weights,
-                                                 split, x)
+            value, slopes = _secular_terms(X, Y, rates, weights, split, x)
+            if evaluations > 1:
+                # same sign, and not fallen tenfold, in two steps running
+                # (tested on lists: a numpy reduction over a few brackets
+                # costs more than the rest of the test)
+                slow, was_slow = value / previous > 0.1, slow
+                if True not in slow.tolist():
+                    slow = None
+                elif was_slow is not None:
+                    toggle = slow & was_slow & ~done
+                    if True in toggle.tolist():
+                        fixed = toggle if fixed is None else fixed ^ toggle
+                        # the pole at the end of a fixed bracket nearer to
+                        # x leaves its side's group for a third of its own
+                        near_a = x - a < b - x
+                        own = fixed[:, None] & (
+                            rates == np.where(near_a, a, b)[:, None])
+                        split = np.array([below & ~own, ~below & ~own,
+                                          own]) * terms
+                        fixed_a, fixed_b = fixed & near_a, fixed & ~near_a
+                        gap = x[:, None] - rates
+                        slopes = (split / (gap * gap)).sum(-1)
+            previous = value
             np.copyto(lo, x, where=value >= 0.0)
             np.copyto(hi, x, where=value <= 0.0)
             # With p = x - a and r = 1/(b - x) (0 in the top bracket), the
@@ -139,6 +177,17 @@ def interlaced_roots(X, Y, rates, weights):
             # in eta = s - x; its root in (a, b) is taken free of cancellation.
             p = x - a
             r = 1.0 / (b - x)
+            if fixed is None:
+                lower, upper = slopes[0], slopes[1] + X
+            else:
+                # the nearer pole keeps its own Z t, the model pole at the
+                # other end takes all the other terms (summed as such: the
+                # slope less the light pole's would cancel)
+                rest = slopes[0] + slopes[1] + X
+                lower = np.where(fixed_a, slopes[2],
+                                 np.where(fixed_b, rest, slopes[0]))
+                upper = np.where(fixed_b, slopes[2],
+                                 np.where(fixed_a, rest, slopes[1] + X))
             fp = value * p
             alpha = (value - lower * p) * r + upper
             half = 0.5 * ((lower + upper) * p - value * (1.0 - p * r))
@@ -202,11 +251,13 @@ class CbfImage:
     """``U(p) = p X + Y + sum_k Z_k p/(p + t_k)`` with PSD 6x6 data.
 
     The modes are stacked: ``rates`` is ``(K,)`` and ``weights`` is
-    ``(K, 6, 6)``.  Computed once at construction: ``norms``, the spectral
-    norms of ``X``, ``Y`` and every ``Z_k`` (one batched call), and the
-    split of ``X``: ``dirac_eigs`` above ``TOL_PSD`` times its norm, their
-    eigenvectors ``dirac_range``, and ``dirac_null`` spanning the rest.
-    The factors a conversion needs are computed on first use.
+    ``(K, 6, 6)``.  Computed once at construction, from one batched
+    ``eigh`` of ``[X, Y, Z_1..Z_K]`` kept as ``spectra``: ``norms``, the
+    spectral norms of the data (the largest ``|eigenvalue|`` of each), and
+    the split of ``X``: ``dirac_eigs`` above ``TOL_PSD`` times its norm,
+    their eigenvectors ``dirac_range``, and ``dirac_null`` spanning the
+    rest.  The factors a conversion needs are computed on first use, the
+    weight factors from the same eigenpairs.
     ``U``, ``U'`` and :meth:`magnitude` are array expressions over the
     modes; they take a scalar or a vector of points, and a vector of ``n``
     points gives an ``(n, 6, 6)`` stack (``(n,)`` for the magnitude).
@@ -216,6 +267,7 @@ class CbfImage:
     constant: np.ndarray
     rates: np.ndarray
     weights: np.ndarray
+    spectra: tuple = field(init=False, repr=False)
     norms: np.ndarray = field(init=False)
     dirac_eigs: np.ndarray = field(init=False)
     dirac_range: np.ndarray = field(init=False)
@@ -223,18 +275,20 @@ class CbfImage:
 
     def __post_init__(self):
         stack = np.concatenate([[self.dirac, self.constant], self.weights])
-        object.__setattr__(self, "norms", matrix_norm(stack))
-        w, v = np.linalg.eigh(self.dirac)
-        above = w > TOL_PSD * self.norms[0]
-        object.__setattr__(self, "dirac_eigs", w[above])
-        object.__setattr__(self, "dirac_range", v[:, above])
-        object.__setattr__(self, "dirac_null", v[:, ~above])
+        w, v = np.linalg.eigh(stack)
+        norms = eig_norm(w)
+        above = w[0] > TOL_PSD * norms[0]
+        for name, value in [("spectra", (w, v)), ("norms", norms),
+                            ("dirac_eigs", w[0, above]),
+                            ("dirac_range", v[0][:, above]),
+                            ("dirac_null", v[0][:, ~above])]:
+            object.__setattr__(self, name, value)
 
     @cached_property
     def weight_factors(self):
         """``(F, ranks)``: ``Z_k = F_k F_k'``, the ``F_k`` side by side in
         ``F``, from the eigenpairs above ``1e-14`` times the largest."""
-        w, v = np.linalg.eigh(self.weights)
+        w, v = (part[2:] for part in self.spectra)
         keep = w > 1e-14 * np.maximum(w[:, -1:], 1e-300)
         factors = v * np.sqrt(np.where(keep, w, 0.0))[:, None, :]
         return (factors.transpose(1, 0, 2).reshape(6, -1)[:, keep.ravel()],
@@ -285,7 +339,8 @@ class CbfImage:
         q1 = self.dirac_range
         if not q1.shape[1]:
             return 0.0
-        return (TOL_ZERO_POLE_NO_MODES * matrix_norm(q1.T @ self.constant @ q1)
+        return (TOL_ZERO_POLE_NO_MODES
+                * eig_norm(np.linalg.eigvalsh(q1.T @ self.constant @ q1))
                 / self.norms[0])
 
 
@@ -354,15 +409,18 @@ def image_pencil_roots(image):
 
 
 def _refine_roots(image, s):
-    """Newton-polish det-roots via the smallest singular pair, all at once.
+    """Newton-polish det-roots via the smallest eigenpair, all at once.
 
-    ``g(s) = u' U(-s) v`` with ``u, v`` the minimal singular vectors of
-    ``U(-s)`` vanishes at the root; its derivative is ``-u' U'(-s) v``.
-    This converges quadratically even on semisimple multiple eigenvalues,
-    where plain Newton on the determinant stalls.  Each iteration is one
-    batched SVD of the ``(n, 6, 6)`` stack of ``U(-s_i)``; a candidate stops
-    after three steps, at a zero slope, or before a step longer than a
-    tenth of itself.
+    ``g(s) = lambda(s) = v' U(-s) v`` with ``(lambda, v)`` the eigenpair of
+    the symmetric ``U(-s)`` of least ``|lambda|`` vanishes at the root; its
+    derivative is ``-v' U'(-s) v``.  (These are the smallest singular value
+    and its vectors, up to the sign of ``lambda``, which cancels in the
+    step.)  This converges quadratically even on semisimple multiple
+    eigenvalues, where plain Newton on the determinant stalls.  Each
+    iteration is one batched ``eigh`` of the ``(n, 6, 6)`` stack of
+    ``U(-s_i)``; a candidate stops after three steps, at a zero slope,
+    before a step longer than a tenth of itself, or after a step of at most
+    ``TOL_POLISH`` times itself.
     """
     s = np.array(s, dtype=float)
     active = np.arange(s.size)
@@ -371,34 +429,40 @@ def _refine_roots(image, s):
             break
         x = -s[active]
         u_mat = image(x)
-        u, _, vt = np.linalg.svd(u_mat)
-        left, right = u[:, None, :, -1], vt[:, -1, :, None]
+        w, v = np.linalg.eigh(u_mat)
+        least = np.argmin(np.abs(w), axis=1)
+        right = np.take_along_axis(v, least[:, None, None], axis=2)
+        left = np.swapaxes(right, 1, 2)
         value = (left @ u_mat @ right)[:, 0, 0]
         slope = -(left @ image.derivative(x) @ right)[:, 0, 0]
         moving = slope != 0.0
         step = np.zeros_like(value)
         step[moving] = value[moving] / slope[moving]
-        moving &= np.abs(step) <= 0.1 * s[active]
+        size = np.abs(step)
+        moving &= size <= 0.1 * s[active]
+        converged = size <= TOL_POLISH * s[active]
         s[active[moving]] -= step[moving]
-        active = active[moving]
+        active = active[moving & ~converged]
     return s
 
 
 def _image_nullspace(image, s):
     """Orthonormal near-nullspaces of ``U(-s_i)``, one basis per point.
 
-    One batched SVD covers every point.  An empty basis means ``-s_i`` is a
-    regular point and the eigenvalue cluster there is a pencil artifact.  A
-    nullspace thinner than the cluster but nonempty is accepted: the surplus
-    members are artifacts that happened to polish onto a genuine root, and
-    the nullspace dimension is authoritative (``U'`` is positive
-    semidefinite on the negative axis, so true poles are always semisimple).
+    One batched ``eigh`` covers every point; the eigenvectors whose
+    ``|eigenvalue|`` is at most ``TOL_NULLSPACE`` times
+    :meth:`CbfImage.magnitude` span the basis.  An empty basis means
+    ``-s_i`` is a regular point and the eigenvalue cluster there is a
+    pencil artifact.  A nullspace thinner than the cluster but nonempty is
+    accepted: the surplus members are artifacts that happened to polish
+    onto a genuine root, and the nullspace dimension is authoritative
+    (``U'`` is positive semidefinite on the negative axis, so true poles
+    are always semisimple).
     """
     s = np.asarray(s, dtype=float)
-    _, sv, vt = np.linalg.svd(image(-s))
-    cutoff = TOL_NULLSPACE * image.magnitude(s)
-    dimensions = np.sum(sv <= cutoff[:, None], axis=1)
-    return [v[6 - d:].T for v, d in zip(vt, dimensions)]
+    w, v = np.linalg.eigh(image(-s))
+    null = np.abs(w) <= TOL_NULLSPACE * image.magnitude(s)[:, None]
+    return [vectors[:, keep] for vectors, keep in zip(v, null)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -429,13 +493,14 @@ def _nullspace_residues(bases, slopes):
     return out
 
 
-def _clip_residues(stack, scale):
+def _clip_residues(stack, scale, spectrum=None):
     """PSD-clip a stack of residues; indefinite beyond tolerance is an error.
 
-    Returns the clipped stack and its most negative eigenvalue before
-    clipping relative to ``scale`` (0 when none is negative).
+    ``spectrum`` is the stack's ``eigh`` when the caller has it.  Returns
+    the clipped stack and its most negative eigenvalue before clipping
+    relative to ``scale`` (0 when none is negative).
     """
-    clipped, low = psd_clip(stack)
+    clipped, low = psd_clip(stack, spectrum)
     low = np.atleast_1d(low)
     bad = np.flatnonzero(low < -1e-6 * scale)
     if bad.size:
@@ -472,9 +537,10 @@ def decompose_inverse(image):
     weights from the nullspace residue formula, with ``U'`` at every pole
     evaluated as one stack, after :func:`_certify_pole_count` has passed;
     the constant is ``G'G`` (:attr:`CbfImage.null_factor`), PSD and in the
-    nullspace of ``X`` by construction.  Their norms (one batched call)
-    set the decomposition scale and the cancellation test, and the kept
-    residues are clipped as one stack.
+    nullspace of ``X`` by construction.  One batched ``eigh`` of
+    ``[constant, zero_mass, residues]`` gives their norms, which set the
+    decomposition scale and the cancellation test, and the eigenpairs with
+    which the kept residues are clipped.
     """
     eigs = image_pencil_roots(image)
 
@@ -482,7 +548,7 @@ def decompose_inverse(image):
     # Classify it as a pole at zero exactly when that implied location falls
     # under the floor below which the pencil discards zero splinters, so no
     # pole is ever counted both here and as a finite mode.
-    w, v = np.linalg.eigh(image.constant)
+    w, v = (part[1] for part in image.spectra)   # the eigenpairs of Y
     slope = image.derivative(0.0)
     null_y = v[:, w <= image.zero_pole_floor * np.sum(v * (slope @ v), 0)]
     [zero_mass] = _nullspace_residues([null_y], slope[None])
@@ -494,10 +560,11 @@ def decompose_inverse(image):
     raw = _nullspace_residues(bases, image.derivative(-poles))
 
     constant = image.null_factor.T @ image.null_factor
-    norms = matrix_norm(np.concatenate([[constant, zero_mass], raw]))
+    stack = np.concatenate([[constant, zero_mass], raw])
+    w, v = np.linalg.eigh(stack)
+    norms = eig_norm(w)
     scale = float(norms.max())
-    kept = norms[2:] > TOL_CANCEL * scale
-    clipped, worst = _clip_residues(
-        np.concatenate([[zero_mass], raw[kept]]), scale)
-    modes = tuple(zip(poles[kept].tolist(), clipped[1:]))
+    kept = np.append([False, True], norms[2:] > TOL_CANCEL * scale)
+    clipped, worst = _clip_residues(stack[kept], scale, (w[kept], v[kept]))
+    modes = tuple(zip(poles[kept[2:]].tolist(), clipped[1:]))
     return MatrixStieltjesParts(constant, clipped[0], modes, worst)

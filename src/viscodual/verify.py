@@ -16,8 +16,9 @@ outgrows :data:`BLOCK_ELEMENTS`, and the residual grid runs from
 ``1e-3/r_max`` to ``1e3/r_min``, so every mode of both kernels has decayed
 inside it.  The shape checks of :func:`check_wellformed` take the kernel
 and its first three derivatives exactly from the modes, and
-:func:`check_limit_identities` takes all its norms from one batched call
-and all its definiteness tests from one batched ``eigvalsh``.  The
+:func:`check_limit_identities` takes the norms and definiteness tests of
+its symmetric matrices from one batched ``eigvalsh`` and the norms of its
+non-symmetric misfits from one batched singular-value call.  The
 responses to a piecewise-linear history (:func:`respond`,
 :func:`respond_creep`) are still summed one time at a time, window by
 window.
@@ -332,8 +333,9 @@ def check_limit_identities(relaxation, creep, tol=TOL_LIMITS):
     ``G_k``, so ``R(0+) = B + sum G_k``.  The creep kernel has ``C(0) = A``,
     fluidity ``D`` and weights ``H_j``, so ``C'(0+) = D + sum H_j`` and,
     when ``D = 0``, ``C(inf) = A + sum H_j/s_j``.  Each clause is added when
-    its hypothesis holds.  Every norm comes from one batched call and every
-    definiteness test from one batched ``eigvalsh``.
+    its hypothesis holds.  One batched ``eigvalsh`` gives the definiteness
+    tests and the norms of the symmetric matrices, one batched
+    singular-value call the norms of the misfits.
     """
     N, B, _, G = square_image(relaxation)
     A, D, s, H = square_image(creep)
@@ -344,14 +346,15 @@ def check_limit_identities(relaxation, creep, tol=TOL_LIMITS):
     tested = np.array([N, B, D, A, r_zero, c_inf])
     misfits = np.array([N @ c_slope, r_zero @ A, B @ c_inf, c_inf @ B,
                         A @ r_zero]) - np.eye(len(N))
-    norms = matrix_norm(np.concatenate([tested, misfits, G, H]))
-    _, pd, _ = psd_flags(tested, _LIMIT_PD_TOLS, norms[:6])
-    n_pd, b_pd, d_pd, a_pd, r_zero_pd, c_inf_pd = pd.tolist()
+    # the weights only need their norms: their tolerance is never used
+    _, pd, norms = psd_flags(np.concatenate([tested, G, H]), np.append(
+        _LIMIT_PD_TOLS, np.zeros(len(G) + len(H))))
+    n_pd, b_pd, d_pd, a_pd, r_zero_pd, c_inf_pd = pd[:6].tolist()
     n_norm, b_norm, d_norm, a_norm = norms[:4].tolist()
     slope_misfit, zero_misfit, inf_misfit, inf_misfit_c, zero_misfit_c = \
-        norms[6:11].tolist()
-    r_scale = n_norm + b_norm + float(np.sum(norms[11:11 + len(G)]))
-    c_scale = a_norm + d_norm + float(np.sum(norms[11 + len(G):]))
+        matrix_norm(misfits).tolist()
+    r_scale = n_norm + b_norm + float(np.sum(norms[6:6 + len(G)]))
+    c_scale = a_norm + d_norm + float(np.sum(norms[6 + len(G):]))
 
     rep = _ReportBuilder()
     if n_pd:
@@ -502,7 +505,7 @@ def respond(kernel, history, times):
         value = value + (beta * rate if scalar else beta @ np.asarray(rate))
         values.append(value)
     impulses = ()
-    has_dirac = beta > 0.0 if scalar else matrix_norm(beta) > 0.0
+    has_dirac = beta > 0.0 if scalar else bool(np.any(beta))
     if history.initial_jump is not None and has_dirac:
         jump = history.initial_jump
         magnitude = beta * jump if scalar else beta @ np.asarray(jump)

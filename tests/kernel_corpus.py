@@ -135,6 +135,18 @@ def kernel_distance(a, b):
     return worst / scale
 
 
+def pole_resolution(image, s):
+    """How far rounding alone moves a 6x6 pole ``s`` of ``U(p)^-1``:
+    ``eps |U(-s)|`` (:meth:`CbfImage.magnitude`) over the slope
+    ``v'U'(-s)v`` of the least eigenpair of ``U(-s)``.  A fast pole on a
+    nearly singular ``X`` has one far above ``1e-12 s``, and any polish
+    that evaluates ``U(-s)`` wanders within it."""
+    w, v = np.linalg.eigh(image(-s))
+    vector = v[:, np.argmin(np.abs(w))]
+    slope = float(vector @ image.derivative(-s) @ vector)
+    return np.finfo(float).eps * image.magnitude(s) / slope
+
+
 def assert_kernels_close(a, b, tol):
     dist = kernel_distance(a, b)
     assert dist <= tol, f"kernel mismatch {dist:.3e} > {tol:.1e}"

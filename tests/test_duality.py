@@ -9,6 +9,7 @@ from viscodual import (
     InvalidKernel,
     MatrixCreep,
     MatrixRelaxation,
+    NumericsError,
     ScalarCreep,
     ScalarRelaxation,
     dualize,
@@ -19,9 +20,13 @@ from viscodual import (
     parse_material,
     symmetric6,
 )
+from viscodual.kernels import square_image
+from viscodual.rational import cbf_image
 
 from kernel_corpus import (
     assert_kernels_close,
+    kernel_distance,
+    pole_resolution,
     random_matrix_creep,
     random_matrix_relaxation,
     random_scalar_creep,
@@ -227,6 +232,49 @@ class TestMatrixDuality:
             np.testing.assert_allclose(
                 laplace_times_p(r, p) @ laplace_times_p(c, p), np.eye(6),
                 rtol=0.0, atol=1e-12)
+
+    @pytest.mark.xfail(strict=True, raises=NumericsError, reason=(
+        "two slow poles closer than 1e-8 |Y|/|X| share one nullspace of "
+        "width 2 under a cutoff relative to |Y|, and the pole-count "
+        "certificate raises"))
+    @pytest.mark.parametrize("equilibrium", [
+        [1e-4, 2e-4, 1e6, 1, 1, 1], [1e-10, 1e-9, 1, 1, 1, 1]],
+        ids=["1e-4-and-2e-4-under-1e6", "1e-10-and-1e-9"])
+    def test_mode_free_kernel_with_close_slow_poles(self, equilibrium):
+        y = np.array(equilibrium)
+        r = MatrixRelaxation.make(newtonian=np.eye(6),
+                                  equilibrium=np.diag(y))
+        rates = np.sort([rate for rate, _ in dualize(r).modes])
+        np.testing.assert_allclose(rates, np.unique(y), rtol=1e-14, atol=0.0)
+
+    @settings(deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           decades=st.floats(-100.0, 100.0),
+           relaxation=st.booleans())
+    def test_weight_unit_equivariance(self, seed, decades, relaxation):
+        # stress in units 1/c: every coefficient scales by c, so U becomes
+        # c U and U^-1 becomes U^-1 / c.  The poles stay where they are (to
+        # 1e-9, or to four times the rounding resolution of a fast pole on
+        # a nearly singular X) and every coefficient of the dual scales by
+        # 1/c, over two hundred decades of c: nothing may compare a norm
+        # with an absolute number.
+        c = 10.0 ** decades
+        rng = np.random.default_rng(seed)
+        make = random_matrix_relaxation if relaxation else random_matrix_creep
+        k = make(rng)
+        X, Y, rates, weights = square_image(k)
+        scaled = type(k).make(c * X, c * Y, [(r, c * w) for r, w in
+                                             zip(rates, weights)])
+        dual, scaled_dual = dualize(k), dualize(scaled)
+        X, Y, rates, weights = square_image(scaled_dual)
+        restored = type(dual)(c * X, c * Y, tuple(
+            (r, c * w) for r, w in zip(rates, weights)))
+        assert len(restored.modes) == len(dual.modes)
+        image = cbf_image(k)
+        for (s, _), (s_ref, _) in zip(restored.modes, dual.modes):
+            assert abs(s - s_ref) <= (1e-9 * s_ref
+                                      + 4.0 * pole_resolution(image, s_ref))
+        assert kernel_distance(restored, dual) <= 1e-8
 
     @settings(deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2 ** 32 - 1),

@@ -17,7 +17,8 @@ from viscodual import (
     relaxation_limits,
     symmetric6,
 )
-from viscodual.kernels import is_pd, is_psd, matrix_norm, max_rate, psd_clip
+from viscodual.kernels import (
+    is_pd, is_psd, matrix_norm, max_rate, psd_clip, psd_flags)
 
 from kernel_corpus import random_gram
 
@@ -117,6 +118,14 @@ class TestPsdHelpers:
             if case.ndim == 2:
                 assert type(got) is float
             np.testing.assert_array_equal(got, expected)
+
+    def test_skew_matrix_is_not_psd(self):
+        # its symmetric part, whose eigenvalues give the norm, is zero
+        skew = np.zeros((6, 6))
+        skew[0, 1], skew[1, 0] = 1.0, -1.0
+        psd, pd, norms = psd_flags(np.array([skew, np.zeros((6, 6))]))
+        assert psd.tolist() == [False, True] and not pd.any()
+        assert norms.tolist() == [0.0, 0.0]
 
     def test_psd_clip_removes_negative_part(self):
         m = symmetric6(np.diag([1.0, 1, 1, 1, 1, -1e-12]))
