@@ -6,10 +6,12 @@ where ``u`` is the identity (Dirac) convolution operator; a creep kernel is
 carry positive-semidefinite symmetric matrix coefficients in Voigt
 convention (indices 11, 22, 33, 23, 31, 12 with sqrt(2)-scaled shears).
 
-Every kernel maps to the arrays ``(X, Y, rates, weights)`` of its complete
-Bernstein image (:func:`cbf_as_rational`, :func:`square_image`), and the
-Laplace images, limits and positivity condition are written once on those
-arrays, with a scalar kernel as the ``1 x 1`` case.
+Every kernel maps to the coefficients ``(X, Y, modes)`` of its complete
+Bernstein image (:func:`stored_image`; as arrays, :func:`cbf_as_rational`
+and :func:`square_image`).  The Laplace images, limits and positivity
+condition are written once on those arrays, with a scalar kernel as the
+``1 x 1`` case, and the time-domain values and their integrals once on
+the stored coefficients, floats or 6x6 arrays (:func:`time_values`).
 
 All kernel objects are immutable after construction and every function in
 this module is pure.
@@ -348,10 +350,6 @@ class MatrixCreep(_Kernel):
             ("instantaneous matrix", "fluidity matrix"), modes, "creep"))
 
 
-RELAXATION_KINDS = (ScalarRelaxation, MatrixRelaxation)
-CREEP_KINDS = (ScalarCreep, MatrixCreep)
-
-
 def max_rate(kernel):
     """Largest exponential rate of a kernel, or 1.0 if it has no modes."""
     return max((r for r, _ in kernel.modes), default=1.0)
@@ -361,27 +359,35 @@ def max_rate(kernel):
 # Complete Bernstein images
 # ---------------------------------------------------------------------------
 
+def stored_image(kernel):
+    """``(X, Y, modes)`` of a kernel's image as the kernel stores them:
+    floats or read-only 6x6 arrays, and the ``(rate, weight)`` pairs in
+    rate order.  A relaxation kernel has ``(X, Y) = (newtonian,
+    equilibrium)``, a creep kernel ``(X, Y) = (instantaneous, fluidity)``.
+    This is the one place that knows which coefficients of each kernel
+    class are ``X`` and ``Y``.
+    """
+    if isinstance(kernel, (ScalarRelaxation, MatrixRelaxation)):
+        return kernel.newtonian, kernel.equilibrium, kernel.modes
+    if isinstance(kernel, (ScalarCreep, MatrixCreep)):
+        return kernel.instantaneous, kernel.fluidity, kernel.modes
+    raise TypeError(f"not a kernel: {type(kernel).__name__}")
+
+
 def cbf_as_rational(kernel):
     """The image ``U(p) = p X + Y + sum_k Z_k p/(p + t_k)`` of a kernel.
 
     Returns ``(X, Y, rates, weights)`` as arrays: ``rates`` is ``(K,)`` and
     ``weights`` stacks the mode weights, ``(K,)`` for a scalar kernel and
     ``(K, 6, 6)`` for a 6x6 one.  A relaxation kernel gives
-    ``U(p) = p ftilde(p)`` with ``(X, Y) = (newtonian, equilibrium)``; a
-    creep kernel gives ``U(p) = p^2 htilde(p)`` with
-    ``(X, Y) = (instantaneous, fluidity)``.  In both cases ``U(p)^-1``
-    decomposes into the dual kernel's coefficients.  This is the one place
-    that knows which coefficients of each kernel class are ``X`` and ``Y``.
+    ``U(p) = p ftilde(p)``, a creep kernel ``U(p) = p^2 htilde(p)``, with
+    ``X`` and ``Y`` as in :func:`stored_image`.  In both cases ``U(p)^-1``
+    decomposes into the dual kernel's coefficients.
     """
-    if isinstance(kernel, RELAXATION_KINDS):
-        dirac, constant = kernel.newtonian, kernel.equilibrium
-    elif isinstance(kernel, CREEP_KINDS):
-        dirac, constant = kernel.instantaneous, kernel.fluidity
-    else:
-        raise TypeError(f"not a kernel: {type(kernel).__name__}")
-    return (np.asarray(dirac, dtype=float), np.asarray(constant, dtype=float),
-            np.array([r for r, _ in kernel.modes], dtype=float),
-            np.array([w for _, w in kernel.modes], dtype=float))
+    X, Y, modes = stored_image(kernel)
+    return (np.asarray(X, dtype=float), np.asarray(Y, dtype=float),
+            np.array([r for r, _ in modes], dtype=float),
+            np.array([w for _, w in modes], dtype=float))
 
 
 def square_image(kernel):
@@ -401,6 +407,48 @@ def _unwrap(m):
 # Evaluation
 # ---------------------------------------------------------------------------
 
+def time_values(relaxation, X, Y, modes, t, integral):
+    """The continuous part of a kernel at ``t``, or with ``integral`` its
+    integral from 0 to ``t``.
+
+    A relaxation kernel is ``Y + sum_k exp(-r_k t) Z_k``, with integral
+    ``t Y + sum_k phi_k(t) Z_k``; a creep kernel is
+    ``X + t Y + sum_k phi_k(t) Z_k``, with integral
+    ``t X + t^2/2 Y + sum_k (t - phi_k(t))/r_k Z_k``; here
+    ``phi_k(t) = -expm1(-r_k t)/r_k``.  ``X, Y, modes`` are as
+    :func:`stored_image` gives them, floats or 6x6 arrays, and ``t`` is a
+    float or a ``(T, 1, 1)`` column of times.  The modes are added one at
+    a time in rate order, so every time of a column gets the bits that it
+    gets as a float.
+    """
+    if integral:
+        out = t * Y if relaxation else t * X + (t * t / 2.0) * Y
+    else:
+        out = np.zeros_like(t) + Y if relaxation else X + t * Y
+    for r, w in modes:
+        if relaxation and not integral:
+            factor = np.exp(-r * t)
+        else:
+            factor = -np.expm1(-r * t) / r
+            if integral and not relaxation:
+                factor = (t - factor) / r
+        out = out + factor * w
+    return out
+
+
+def _eval(kernel, t, relaxation):
+    """:func:`time_values` at one time ``t >= 0`` of a kernel of the kind
+    that ``relaxation`` names."""
+    X, Y, modes = stored_image(kernel)
+    if kernel.relaxation != relaxation:
+        kind = "relaxation" if relaxation else "creep"
+        raise TypeError(f"not a {kind} kernel: {type(kernel).__name__}")
+    t = float(t)
+    if t < 0.0:
+        raise ValueError("time must be nonnegative")
+    return time_values(relaxation, X, Y, modes, t, False)
+
+
 def eval_relaxation(kernel, t):
     """Continuous part of the relaxation kernel at time ``t >= 0``.
 
@@ -408,35 +456,12 @@ def eval_relaxation(kernel, t):
     is reported separately by :func:`relaxation_limits`.  The value at
     ``t = 0`` is the limit from the right.
     """
-    t = float(t)
-    if t < 0.0:
-        raise ValueError("time must be nonnegative")
-    if isinstance(kernel, ScalarRelaxation):
-        return kernel.equilibrium + sum(
-            w * np.exp(-r * t) for r, w in kernel.modes)
-    if isinstance(kernel, MatrixRelaxation):
-        out = np.array(kernel.equilibrium)
-        for r, g in kernel.modes:
-            out += np.exp(-r * t) * g
-        return out
-    raise TypeError(f"not a relaxation kernel: {type(kernel).__name__}")
+    return _eval(kernel, t, True)
 
 
 def eval_creep(kernel, t):
     """Creep kernel value at time ``t >= 0``."""
-    t = float(t)
-    if t < 0.0:
-        raise ValueError("time must be nonnegative")
-    if isinstance(kernel, ScalarCreep):
-        value = kernel.instantaneous + kernel.fluidity * t
-        return value + sum(
-            (w / r) * -np.expm1(-r * t) for r, w in kernel.modes)
-    if isinstance(kernel, MatrixCreep):
-        out = kernel.instantaneous + t * kernel.fluidity
-        for r, h in kernel.modes:
-            out = out + (-np.expm1(-r * t) / r) * h
-        return out
-    raise TypeError(f"not a creep kernel: {type(kernel).__name__}")
+    return _eval(kernel, t, False)
 
 
 def laplace_times_p(kernel, p):

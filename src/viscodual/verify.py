@@ -18,30 +18,29 @@ inside it.  The shape checks of :func:`check_wellformed` take the kernel
 and its first three derivatives exactly from the modes, and
 :func:`check_limit_identities` takes the norms and definiteness tests of
 its symmetric matrices from one batched ``eigvalsh`` and the norms of its
-non-symmetric misfits from one batched singular-value call.  The
-responses to a piecewise-linear history (:func:`respond`,
-:func:`respond_creep`) are still summed one time at a time, window by
-window.
+non-symmetric misfits from one batched singular-value call.  The time
+domain has one evaluator for both sizes and kinds,
+:func:`kernels.time_values`: :func:`kernel_values` takes the kernel from
+it on a column of times, and the responses to a piecewise-linear history
+(:func:`respond`, :func:`respond_creep`, one body) take its integral one
+time at a time, window by window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .kernels import (
-    CREEP_KINDS,
-    RELAXATION_KINDS,
     TOL_PSD,
-    ScalarCreep,
-    ScalarRelaxation,
-    eval_creep,
-    eval_relaxation,
     matrix_norm,
     max_rate,
     psd_flags,
     square_image,
+    stored_image,
+    time_values,
 )
 
 TOL_CM = 1e-9         # relative slack for the derivative sign checks
@@ -116,28 +115,13 @@ def _checked_times(times):
 def kernel_values(kernel, times):
     """Continuous part of a kernel at every time, as a ``(T, d, d)`` stack.
 
-    Each entry is, to the last bit, what :func:`eval_relaxation` or
-    :func:`eval_creep` returns at that time: only the time axis is
-    vectorized, and the modes are added one at a time in rate order, with
-    the association each kernel kind uses there, so that
-    :func:`matio.sample_to_csv` prints what the per-point functions give.
+    This is :func:`kernels.time_values` on a column of times, so each
+    entry is, to the last bit, what :func:`eval_relaxation` or
+    :func:`eval_creep` returns at that time, and :func:`matio.sample_to_csv`
+    prints what the per-point functions give.
     """
-    t = _checked_times(times)
-    X, Y, rates, weights = square_image(kernel)
-    relax = kernel.relaxation
-    scalar = X.shape == (1, 1)
-    col = t[:, None, None]
-    base = np.zeros_like(col) + Y if relax else X + col * Y
-    total = 0 if scalar else base
-    for r, w in zip(rates, weights):
-        if relax:
-            term = np.exp(-r * t)[:, None, None] * w
-        elif scalar:
-            term = (w / r) * -np.expm1(-r * t)[:, None, None]
-        else:
-            term = (-np.expm1(-r * t) / r)[:, None, None] * w
-        total = total + term
-    return base + total if scalar else total
+    t = _checked_times(times)[:, None, None]
+    return time_values(kernel.relaxation, *stored_image(kernel), t, False)
 
 
 # ---------------------------------------------------------------------------
@@ -413,18 +397,22 @@ class StrainHistory:
     def scalar(self):
         return np.ndim(self.values[0]) == 0
 
+    @cached_property
     def slopes(self):
+        """Slope of each window between breakpoints, computed once."""
         t = np.asarray(self.times)
         v = np.asarray(self.values)
-        return (v[1:] - v[:-1]) / ((t[1:] - t[:-1]) if self.scalar
-                                   else (t[1:] - t[:-1])[:, None])
+        out = (v[1:] - v[:-1]) / ((t[1:] - t[:-1]) if self.scalar
+                                  else (t[1:] - t[:-1])[:, None])
+        out.setflags(write=False)
+        return out
 
     def rate_at(self, t):
         """Right-continuous slope at ``t``; zero beyond the last breakpoint."""
         i = int(np.searchsorted(self.times, t, side="right")) - 1
         if i < 0 or i >= len(self.times) - 1:
             return 0.0 if self.scalar else np.zeros(6)
-        return self.slopes()[i]
+        return self.slopes[i]
 
 
 @dataclass(frozen=True)
@@ -436,50 +424,54 @@ class ResponseSeries:
     impulses: tuple = ()
 
 
-def _relaxation_integral(kernel, x):
-    """``int_0^x f0`` for the continuous relaxation part."""
-    if isinstance(kernel, ScalarRelaxation):
-        return kernel.equilibrium * x + sum(
-            w * -np.expm1(-r * x) / r for r, w in kernel.modes)
-    out = x * np.asarray(kernel.equilibrium, dtype=float).copy()
-    for r, g in kernel.modes:
-        out = out + (-np.expm1(-r * x) / r) * g
-    return out
+def _apply(m, v):
+    """A coefficient (a float or a 6x6 matrix) applied to a history value."""
+    return m * v if np.ndim(m) == 0 else m @ v
 
 
-def _creep_integral(kernel, x):
-    """``int_0^x C``."""
-    if isinstance(kernel, ScalarCreep):
-        out = kernel.instantaneous * x + kernel.fluidity * x * x / 2.0
-        return out + sum((w / r) * (x - -np.expm1(-r * x) / r)
-                         for r, w in kernel.modes)
-    out = x * np.asarray(kernel.instantaneous) + (x * x / 2.0) * np.asarray(
-        kernel.fluidity)
-    for r, h in kernel.modes:
-        out = out + ((x - -np.expm1(-r * x) / r) / r) * h
-    return out
+def _respond(kernel, history, times, relaxation):
+    """Closed-form ``int_0^t k(t - u) dot(history)(u) du`` plus the jump
+    term ``k(t) jump`` at every time, for a kernel of the kind that
+    ``relaxation`` names.
 
-
-def _history_convolution(kernel_value, kernel_integral, history, t):
-    """Closed-form ``int_0^t k(t - u) dot(history)(u) du`` plus jump term."""
-    out = None
-    if history.initial_jump is not None:
-        jump = history.initial_jump
-        k0 = kernel_value(t)
-        out = k0 * jump if np.ndim(k0) == 0 else k0 @ np.asarray(jump)
-    slopes = history.slopes()
-    times = history.times
-    for i, slope in enumerate(slopes):
-        ta, tb = times[i], times[i + 1]
-        if t <= ta:
-            break
-        window = kernel_integral(t - ta) - kernel_integral(t - min(tb, t))
-        term = window * slope if np.ndim(window) == 0 else window @ np.asarray(slope)
-        out = term if out is None else out + term
-    if out is None:
-        k0 = kernel_value(t)
-        out = 0.0 if np.ndim(k0) == 0 else np.zeros(6)
-    return out
+    Each window of the history adds the difference of two values of the
+    kernel's integral (:func:`kernels.time_values`) times its slope.  A
+    relaxation kernel adds its Dirac part ``X`` times the strain rate
+    pointwise, and the impulse annotation ``X jump`` when the history
+    jumps at t = 0 and ``X`` is nonzero.
+    """
+    X, Y, modes = stored_image(kernel)
+    if kernel.relaxation != relaxation:
+        raise TypeError("respond requires a relaxation kernel" if relaxation
+                        else "respond_creep requires a creep kernel")
+    scalar = np.ndim(X) == 0
+    if scalar != history.scalar:
+        raise ValueError("kernel and history dimensions do not match")
+    image = (relaxation, X, Y, modes)
+    jump, breaks, slopes = history.initial_jump, history.times, history.slopes
+    times = _checked_times(times).tolist()
+    values = []
+    for t in times:
+        out = None
+        if jump is not None:
+            out = _apply(time_values(*image, t, False), jump)
+        for i, slope in enumerate(slopes):
+            ta, tb = breaks[i], breaks[i + 1]
+            if t <= ta:
+                break
+            window = (time_values(*image, t - ta, True)
+                      - time_values(*image, t - min(tb, t), True))
+            term = _apply(window, slope)
+            out = term if out is None else out + term
+        if out is None:
+            out = 0.0 if scalar else np.zeros(6)
+        if relaxation:
+            out = out + _apply(X, history.rate_at(t))
+        values.append(out)
+    impulses = ()
+    if relaxation and jump is not None and np.any(X):
+        impulses = ((0.0, _apply(X, jump)),)
+    return ResponseSeries(tuple(times), tuple(values), impulses)
 
 
 def respond(kernel, history, times):
@@ -488,42 +480,9 @@ def respond(kernel, history, times):
     The Dirac part contributes ``beta * strain_rate`` pointwise, plus an
     impulse annotation ``beta * jump`` when the history jumps at t = 0.
     """
-    if not isinstance(kernel, RELAXATION_KINDS):
-        raise TypeError("respond requires a relaxation kernel")
-    scalar = isinstance(kernel, ScalarRelaxation)
-    if scalar != history.scalar:
-        raise ValueError("kernel and history dimensions do not match")
-    beta = kernel.newtonian
-    values = []
-    for t in times:
-        t = float(t)
-        value = _history_convolution(
-            lambda x: eval_relaxation(kernel, x),
-            lambda x: _relaxation_integral(kernel, x),
-            history, t)
-        rate = history.rate_at(t)
-        value = value + (beta * rate if scalar else beta @ np.asarray(rate))
-        values.append(value)
-    impulses = ()
-    has_dirac = beta > 0.0 if scalar else bool(np.any(beta))
-    if history.initial_jump is not None and has_dirac:
-        jump = history.initial_jump
-        magnitude = beta * jump if scalar else beta @ np.asarray(jump)
-        impulses = ((0.0, magnitude),)
-    return ResponseSeries(tuple(float(t) for t in times), tuple(values),
-                          impulses)
+    return _respond(kernel, history, times, True)
 
 
 def respond_creep(kernel, history, times):
     """Strain response of a creep kernel to a stress history."""
-    if not isinstance(kernel, CREEP_KINDS):
-        raise TypeError("respond_creep requires a creep kernel")
-    if isinstance(kernel, ScalarCreep) != history.scalar:
-        raise ValueError("kernel and history dimensions do not match")
-    values = []
-    for t in times:
-        values.append(_history_convolution(
-            lambda x: eval_creep(kernel, x),
-            lambda x: _creep_integral(kernel, x),
-            history, float(t)))
-    return ResponseSeries(tuple(float(t) for t in times), tuple(values))
+    return _respond(kernel, history, times, False)

@@ -13,8 +13,6 @@ from viscodual import (
     ScalarCreep,
     ScalarRelaxation,
     dualize,
-    dualize_creep_to_relaxation,
-    dualize_relaxation_to_creep,
     duality_residual,
     laplace_times_p,
     parse_material,
@@ -309,12 +307,45 @@ class TestMatrixDuality:
             dualize("not a kernel")
 
 
-class TestInvolution:
-    def test_specific_directions_agree_with_dispatch(self):
-        r = ScalarRelaxation.make(equilibrium=2.0, modes=[(0.5, 1.0)])
-        assert dualize_relaxation_to_creep(r) == dualize(r)
-        c = dualize(r)
-        assert dualize_creep_to_relaxation(c) == dualize(c)
+def _laplace_product_error(kernel, dual):
+    rates = [r for k in (kernel, dual) for r, _ in k.modes] or [1.0]
+    return max(abs(laplace_times_p(kernel, p) * laplace_times_p(dual, p) - 1.0)
+               for p in np.geomspace(1e-3 * min(rates), 1e3 * max(rates), 60))
+
+
+class TestScalarWeightUnit:
+    @pytest.mark.parametrize("size", [1e-300, 1e-200, 1e200, 1e300])
+    @pytest.mark.parametrize("kind", [ScalarRelaxation, ScalarCreep])
+    def test_extreme_weights_give_the_right_dual(self, kind, size):
+        # the secular iteration squares quantities in weight units: on the
+        # unscaled image, weights past about 1e154 overflow it
+        k = kind.make(0.0 if kind is ScalarRelaxation else size, size,
+                      [(1.0, size), (3.0, 2.0 * size)])
+        dual = dualize(k)
+        # one pole below each rate, and one above the last with X > 0
+        assert len(dual.modes) == (2 if kind is ScalarRelaxation else 3)
+        assert _laplace_product_error(k, dual) <= 1e-14
+
+    @settings(deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           power=st.sampled_from([-900, -300, 300, 900]),
+           relaxation=st.booleans())
+    def test_power_of_two_weights_scale_the_dual_exactly(self, seed, power,
+                                                         relaxation):
+        # every coefficient times 2^k: the poles are the same bits and
+        # every coefficient of the dual is exactly 2^-k times the original
+        rng = np.random.default_rng(seed)
+        k = (random_scalar_relaxation if relaxation
+             else random_scalar_creep)(rng)
+        c = 2.0 ** power
+        X, Y, rates, weights = square_image(k)
+        scaled = type(k).make(c * X[0, 0], c * Y[0, 0],
+                              [(r, c * w[0, 0]) for r, w in zip(rates, weights)])
+        dual, scaled_dual = square_image(dualize(k)), square_image(
+            dualize(scaled))
+        np.testing.assert_array_equal(scaled_dual[2], dual[2])
+        for i in (0, 1, 3):
+            np.testing.assert_array_equal(c * scaled_dual[i], dual[i])
 
 
 def _mp_image(kernel):

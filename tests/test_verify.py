@@ -297,6 +297,13 @@ class TestStrainHistory:
         assert h.rate_at(0.5) == pytest.approx(2.0)
         assert h.rate_at(3.0) == 0.0
 
+    def test_slopes_are_computed_once(self):
+        h = StrainHistory((0.0, 1.0, 3.0), (0.0, 2.0, 1.0))
+        assert h.slopes is h.slopes
+        np.testing.assert_array_equal(h.slopes, [2.0, -0.5])
+        assert not h.slopes.flags.writeable
+        assert h.rate_at(2.0) == -0.5
+
 
 class TestRespond:
     def test_step_strain_reproduces_relaxation(self):
