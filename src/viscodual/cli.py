@@ -26,6 +26,7 @@ from .kernels import (
 )
 from .matio import (
     MaterialFormatError,
+    csv_rows,
     parse_material,
     sample_to_csv,
     serialize_material,
@@ -220,13 +221,9 @@ def _cmd_respond(args):
         rendered = _render(np.asarray(magnitude)) if np.ndim(magnitude) \
             else magnitude
         lines.append(f"# impulse,t={t0:.17g},magnitude={rendered}")
-    scalar = np.ndim(series.values[0]) == 0
-    lines.append("t,value" if scalar
-                 else "t," + ",".join(f"v{i + 1}" for i in range(6)))
-    for t0, value in zip(series.times, series.values):
-        cells = [value] if scalar else list(np.asarray(value))
-        lines.append(",".join(format(float(x), ".17g")
-                              for x in [t0] + cells))
+    rows = np.column_stack([series.times, series.values])
+    lines.append("t,value" if rows.shape[1] == 2 else "t,v1,v2,v3,v4,v5,v6")
+    lines += csv_rows(rows)
     _write("\n".join(lines) + "\n", args.output)
     return 0
 

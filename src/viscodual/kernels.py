@@ -94,7 +94,8 @@ def matrix_norm(m):
     Only non-symmetric matrices need it; a symmetric stack has its norms
     from the eigenvalues it is decomposed into anyway (:func:`eig_norm`).
     """
-    norms = np.linalg.svd(m, compute_uv=False)[..., 0]
+    norms = (np.abs(m[..., 0, 0]) if m.shape[-2:] == (1, 1)   # 2-norm of 1x1
+             else np.linalg.svd(m, compute_uv=False)[..., 0])
     return float(norms) if norms.ndim == 0 else norms
 
 

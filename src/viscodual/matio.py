@@ -1,9 +1,9 @@
 """Material file format: JSON in, JSON out, CSV sampling export.
 
-The format is deliberately human-auditable.  Numbers are emitted with 17
-significant digits so that serialize -> parse is bit-exact for doubles,
-and serialization is deterministic: canonical key order, modes sorted by
-rate, LF line endings.
+The format is deliberately human-auditable.  Numbers are written with
+``%.17g`` so that serialize -> parse is bit-exact for doubles; one ``%``
+renders a whole CSV row or JSON number list.  Serialization is
+deterministic: canonical key order, modes sorted by rate, LF line endings.
 """
 
 from __future__ import annotations
@@ -115,10 +115,6 @@ def parse_material(text):
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
 def _emit(value, indent):
     pad = "  " * indent
     if isinstance(value, dict):
@@ -130,12 +126,13 @@ def _emit(value, indent):
     if isinstance(value, list):
         if not value:
             return "[]"
-        if all(isinstance(v, (int, float)) for v in value):
-            return "[" + ", ".join(_fmt(v) for v in value) + "]"
+        # only floats take %.17g: bools and ints keep their JSON form
+        if all(isinstance(v, float) for v in value):
+            return "[" + ", ".join(["%.17g"] * len(value)) % tuple(value) + "]"
         items = [f"{pad}  {_emit(v, indent + 1)}" for v in value]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(value, (int, float)):
-        return _fmt(value)
+    if isinstance(value, float):
+        return "%.17g" % value
     return json.dumps(value)
 
 
@@ -161,6 +158,12 @@ def serialize_material(kernel, metadata=None):
 # ---------------------------------------------------------------------------
 # CSV sampling
 # ---------------------------------------------------------------------------
+
+def csv_rows(block):
+    """CSV lines of a 2-D float array's rows: one ``%.17g`` row format."""
+    line = ",".join(["%.17g"] * block.shape[1])
+    return [line % tuple(row) for row in block.tolist()]
+
 
 def sample_to_csv(kernel, t_start, t_end, count, spacing="linear"):
     """Sample the kernel on a time grid and render a CSV table.
@@ -197,6 +200,5 @@ def sample_to_csv(kernel, t_start, t_end, count, spacing="linear"):
     for lo in range(0, grid.size, step):
         times = grid[lo:lo + step]
         cells = kernel_values(kernel, times)[:, columns[0], columns[1]]
-        for row in np.column_stack([times, cells]):
-            lines.append(",".join(_fmt(x) for x in row.tolist()))
+        lines += csv_rows(np.column_stack([times, cells]))
     return "\n".join(lines) + "\n"

@@ -185,7 +185,7 @@ def check_wellformed(kernel):
         rep.add("weights-psd", 0.0 if psd[2:].all() else 1.0, 0.5)
         rep.add("coefficients-psd", 0.0 if psd[:2].all() else 1.0, 0.5)
     else:
-        norms = np.abs(stack[:, 0, 0])   # the 2-norm of a 1x1 matrix
+        norms = matrix_norm(stack)
         rep.add("weights-positive", 0.0 if np.all(weights > 0) else 1.0, 0.5)
         rep.add("coefficients-nonnegative",
                 0.0 if np.all(stack[:2] >= 0) else 1.0, 0.5)

@@ -3,13 +3,17 @@
 
 These are the one-time-at-a-time versions of ``verify``'s convolution and
 well-formedness shape checks, and of ``matio``'s CSV sampling, and the
-separate scalar and 6x6 bodies of the limit identities.  The sampling loop
-must agree with the stacked code bit for bit.  The convolution loop sums in
-another order, so it also returns its term scale: the sum of the magnitudes
-of the terms it adds, the size that rounding is relative to.  The
-well-formedness loop sums each derivative term by term, so its residuals
-agree with the stacked ones to rounding relative to ``TOL_CM``.
+separate scalar and 6x6 bodies of the limit identities, and the
+one-number-at-a-time text writers of ``matio`` and the ``respond`` command.
+The sampling loop and the writers must agree with the package bit for bit.
+The convolution loop sums in another order, so it also returns its term
+scale: the sum of the magnitudes of the terms it adds, the size that
+rounding is relative to.  The well-formedness loop sums each derivative term
+by term, so its residuals agree with the stacked ones to rounding relative
+to ``TOL_CM``.
 """
+
+import json
 
 import numpy as np
 
@@ -21,7 +25,8 @@ from viscodual import (
     eval_creep,
     eval_relaxation,
 )
-from viscodual.kernels import NumericsError, is_psd, matrix_norm, max_rate
+from viscodual.kernels import (
+    NumericsError, cbf_as_rational, is_psd, matrix_norm, max_rate)
 from viscodual.verify import TOL_CM, TOL_EQUAL_RATE, TOL_LIMITS, _ReportBuilder
 
 
@@ -117,8 +122,62 @@ def loop_sample_to_csv(kernel, grid):
     for t in grid:
         value = evaluate(kernel, t)
         cells = [value[i, j] for i, j in _UPPER_TRIANGLE] if matrix else [value]
-        lines.append(",".join(format(float(x), ".17g") for x in [t] + cells))
+        lines.append(per_cell_row([t] + cells))
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Text writers, one number at a time
+# ---------------------------------------------------------------------------
+
+def per_cell_row(numbers):
+    """One CSV line, each number formatted by its own call."""
+    return ",".join(format(float(x), ".17g") for x in numbers)
+
+
+def _per_cell_emit(value, indent):
+    pad = "  " * indent
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f'{pad}  "{k}": {_per_cell_emit(v, indent + 1)}'
+                 for k, v in value.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        if all(isinstance(v, (int, float)) for v in value):
+            return "[" + ", ".join(format(float(v), ".17g")
+                                   for v in value) + "]"
+        items = [f"{pad}  {_per_cell_emit(v, indent + 1)}" for v in value]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(value, (int, float)):
+        return format(float(value), ".17g")
+    return json.dumps(value)
+
+
+def per_cell_serialize_material(kernel):
+    """The text of ``matio.serialize_material`` (no metadata)."""
+    dirac, constant, rates, weights = cbf_as_rational(kernel)
+
+    def coef(value):
+        return value.ravel().tolist() if value.ndim else float(value)
+
+    relax = isinstance(kernel, (ScalarRelaxation, MatrixRelaxation))
+    kind = "relaxation" if relax else "creep"
+    first, second = (("dirac", "equilibrium") if relax
+                     else ("instantaneous", "fluidity"))
+    doc = {"kind": kind, "dimension": "matrix6" if dirac.ndim else "scalar",
+           first: coef(dirac), second: coef(constant),
+           "modes": [{"rate": rate, "weight": coef(weight)}
+                     for rate, weight in zip(rates.tolist(), weights)]}
+    return _per_cell_emit(doc, 0) + "\n"
+
+
+def per_cell_respond_csv(series):
+    """The CSV rows of the ``respond`` command for a response series."""
+    return [per_cell_row([t] + np.ravel(value).tolist())
+            for t, value in zip(series.times, series.values)]
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,16 @@ class TestPsdHelpers:
                 assert type(got) is float
             np.testing.assert_array_equal(got, expected)
 
+    def test_matrix_norm_of_1x1_is_the_singular_value(self):
+        rng = np.random.default_rng(1704)
+        stack = rng.normal(size=(1000, 1, 1)) \
+            * 10.0 ** rng.uniform(-130, 130, size=(1000, 1, 1))
+        stack[:3] = [[[0.0]], [[-0.0]], [[-2.5]]]
+        expected = np.linalg.svd(stack, compute_uv=False)[:, 0]
+        np.testing.assert_array_equal(matrix_norm(stack), expected)
+        assert matrix_norm(stack[2]) == 2.5
+        assert type(matrix_norm(stack[2])) is float
+
     def test_skew_matrix_is_not_psd(self):
         # its symmetric part, whose eigenvalues give the norm, is zero
         skew = np.zeros((6, 6))
