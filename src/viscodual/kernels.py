@@ -26,7 +26,6 @@ import numpy as np
 # Relative tolerances shared across the package.
 TOL_MERGE = 1e-12   # gap to the lower rate, relative to the upper one,
                     # below which two modes are merged
-TOL_DROP = 1e-14    # weight magnitude below which a mode is discarded
 TOL_PSD = 1e-10     # eigenvalue floor for positive-semidefiniteness checks
 TOL_SYM = 1e-12     # asymmetry accepted before symmetrizing a 6x6 input
 
@@ -178,58 +177,57 @@ def near_coincident(lower, upper):
     return upper - lower <= TOL_MERGE * upper
 
 
-def _canonical_modes(rates, weights, sizes, scale, measure):
-    """Sort by rate, merge near-coincident rates, drop negligible weights.
+def _canonical_modes(rates, weights):
+    """Sort by rate and merge near-coincident rates.
 
     A rate joins the group of the next lower one when it is near-coincident
     with the group's first rate, so the merge gap scales with the rates
-    themselves and slow modes stay apart however wide the spectrum is.
-    ``sizes[i]`` is ``measure(weights[i])``, computed by the caller; only a
-    merged weight is measured again.
+    themselves and slow modes stay apart however wide the spectrum is.  The
+    callers leave out the zero weights first: every other weight is a pole
+    of ``U(p)^-1`` that the dual needs, however small.
     """
-    groups = []
+    merged_rates, merged_weights = [], []
     for i in sorted(range(len(rates)), key=rates.__getitem__):
-        if groups and near_coincident(rates[groups[-1][0]], rates[i]):
-            groups[-1].append(i)
+        if merged_rates and near_coincident(merged_rates[-1], rates[i]):
+            merged_weights[-1] = merged_weights[-1] + weights[i]
         else:
-            groups.append([i])
-    kept = []
-    for group in groups:
-        weight, size = weights[group[0]], sizes[group[0]]
-        if len(group) > 1:
-            for i in group[1:]:
-                weight = weight + weights[i]
-            size = measure(weight)
-        if size > TOL_DROP * scale:
-            kept.append((rates[group[0]], weight))
-    return tuple(kept)
+            merged_rates.append(rates[i])
+            merged_weights.append(weights[i])
+    return tuple(zip(merged_rates, merged_weights))
 
 
-def _scalar_modes(modes, scale):
+def _scalar_parts(first, second, names, modes, kind):
+    """Validated coefficients and canonical modes of a scalar kernel.
+
+    Every number is validated before any is used, and a mode is left out
+    only where its weight is exactly 0.
+    """
+    coefs = []
+    for value, name in zip((first, second), names):
+        value = float(value)
+        if not np.isfinite(value) or value < 0.0:
+            raise InvalidKernel(f"{name} must be a nonnegative finite number")
+        coefs.append(value)
     rates, weights = [], []
     for rate, weight in modes:
-        rates.append(_checked_rate(rate))
-        weight = float(weight)
+        rate, weight = _checked_rate(rate), float(weight)
         if not np.isfinite(weight) or weight < 0.0:
             raise InvalidKernel("mode weight must be nonnegative")
-        weights.append(weight)
-    return _canonical_modes(rates, weights, weights, scale, abs)
-
-
-def _check_scalar_coef(value, name):
-    value = float(value)
-    if not np.isfinite(value) or value < 0.0:
-        raise InvalidKernel(f"{name} must be a nonnegative finite number")
-    return value
+        if weight > 0.0:
+            rates.append(rate)
+            weights.append(weight)
+    if not (weights or any(coefs)):
+        raise InvalidKernel(f"{kind} kernel is identically zero")
+    return (*coefs, _canonical_modes(rates, weights))
 
 
 def _matrix_parts(first, second, names, modes, kind):
     """Validated coefficients and canonical modes of a 6x6 kernel.
 
     The two coefficients and the mode weights are checked as one stack: one
-    batched eigenvalue call gives every positive-semidefiniteness test, the
-    spectral norms behind the kernel scale and the drop test of each mode
-    that is not merged.
+    batched eigenvalue call gives every positive-semidefiniteness test and
+    the spectral norms, and a mode is left out only where its norm is
+    exactly 0.
     """
     coefs = [np.zeros((6, 6)) if m is None else np.asarray(m, dtype=float)
              for m in (first, second)]
@@ -242,16 +240,15 @@ def _matrix_parts(first, second, names, modes, kind):
     for name, ok in zip(names, psd):
         if not ok:
             raise InvalidKernel(f"{name} must be positive semidefinite")
-    scale = float(np.sum(norms))
-    if scale <= 0.0:
-        raise InvalidKernel(f"{kind} kernel is identically zero")
     rates = [_checked_rate(r) for r, _ in modes]
     bad = np.flatnonzero(~psd[2:])
     if bad.size:
         raise InvalidKernel(f"mode weight at rate {rates[bad[0]]} is not "
                             "positive semidefinite")
-    canon = _canonical_modes(rates, stack[2:], norms[2:], scale,
-                             lambda m: eig_norm(np.linalg.eigvalsh(m)))
+    if not norms.any():
+        raise InvalidKernel(f"{kind} kernel is identically zero")
+    nonzero = np.flatnonzero(norms[2:])
+    canon = _canonical_modes([rates[i] for i in nonzero], stack[2:][nonzero])
     return (_frozen(stack[0]), _frozen(stack[1]),
             tuple((r, _frozen(w)) for r, w in canon))
 
@@ -289,12 +286,9 @@ class ScalarRelaxation(_Kernel):
 
     @classmethod
     def make(cls, newtonian=0.0, equilibrium=0.0, modes=()):
-        beta = _check_scalar_coef(newtonian, "newtonian coefficient")
-        a = _check_scalar_coef(equilibrium, "equilibrium")
-        scale = a + sum(float(w) for _, w in modes) + beta
-        if scale <= 0.0:
-            raise InvalidKernel("relaxation kernel is identically zero")
-        return cls(beta, a, _scalar_modes(modes, scale))
+        return cls(*_scalar_parts(
+            newtonian, equilibrium,
+            ("newtonian coefficient", "equilibrium"), modes, "relaxation"))
 
 
 @dataclass(frozen=True)
@@ -311,12 +305,9 @@ class ScalarCreep(_Kernel):
 
     @classmethod
     def make(cls, instantaneous=0.0, fluidity=0.0, modes=()):
-        a = _check_scalar_coef(instantaneous, "instantaneous compliance")
-        b = _check_scalar_coef(fluidity, "fluidity")
-        scale = a + b + sum(float(w) for _, w in modes)
-        if scale <= 0.0:
-            raise InvalidKernel("creep kernel is identically zero")
-        return cls(a, b, _scalar_modes(modes, scale))
+        return cls(*_scalar_parts(
+            instantaneous, fluidity,
+            ("instantaneous compliance", "fluidity"), modes, "creep"))
 
 
 @dataclass(frozen=True, eq=False)

@@ -38,11 +38,11 @@ ROOT_STEP_REL = 4 * np.finfo(float).eps   # a model step this small (relative) e
 ROOT_REL_WIDTH = 1e-14      # a bracket this narrow (relative) stops at its iterate
 ROOT_LOG_RATIO = 4.0        # midpoints of wider brackets are geometric
 ROOT_MAX_STEPS = 200        # evaluations after which a bracket counts as stalled
+ROOT_NEAR_RATE = 1e-5       # roots nearer a rate than this times its gaps are
+                            # solved about the rate (_about_rates)
 TOL_CLUSTER = 1e-8          # relative gap for grouping refined repeated roots
 TOL_POLISH = 1e-12          # a Newton step this small (relative) ends the polish
 TOL_NULLSPACE = 1e-8        # |eigenvalues| below this (relative) span the nullspace
-TOL_CANCEL = 1e-13          # residue norms below this (relative) are numerical dust;
-                            # genuine residues can span many orders of magnitude
 TOL_ZERO_POLE = 1e-9        # poles below this times the slowest rate count as at zero
 TOL_ZERO_POLE_NO_MODES = 1e-12  # without modes, the same relative to Y on the
                                 # range of X over |X| (zero_pole_floor)
@@ -71,6 +71,65 @@ def _secular_terms(X, Y, rates, weights, split, s):
 def _secular_slope(X, rates, weights, s):
     """``U'(-s) = X + sum Z_k t_k/(t_k - s)^2`` at a vector of points."""
     return X + (rates * (1.0 / (rates - s[:, None])) ** 2) @ weights
+
+
+def _rest_at_rates(X, Y, rates, weights, rows):
+    """``G_k``, ``U(-t_k)`` without its own term, for the modes ``rows``.
+
+    Near ``t_k``, ``U(-s) = G_k + Z_k s/(s - t_k) + O(s - t_k)`` with
+    ``G_k = -X t_k + Y + sum_{j != k} Z_j t_k/(t_k - t_j)``, scalar or 6x6.
+    """
+    t = rates[rows, None]
+    ratio = np.divide(t, t - rates, out=np.zeros((t.size, rates.size)),
+                      where=t != rates)
+    return Y - np.multiply.outer(t[:, 0], X) + np.tensordot(ratio, weights, 1)
+
+
+def _rate_gaps(rates):
+    """Distance from each sorted rate to its nearest other rate or to 0."""
+    gaps = np.diff(rates, prepend=0.0)
+    return np.minimum(gaps, np.append(gaps[1:], np.inf))
+
+
+def _light_modes(X, Y, rates, weights):
+    """The modes whose roots can lie within twice ``ROOT_NEAR_RATE`` of the
+    gap at their rate (:func:`_about_rates`): a root that near needs
+    ``Z_k`` below ``8 ROOT_NEAR_RATE (X t_k + Y + sum Z)``."""
+    w = weights.tolist()
+    bound = 8.0 * ROOT_NEAR_RATE * (Y + sum(w))
+    if min(w, default=np.inf) > bound + 8.0 * ROOT_NEAR_RATE * X * max(
+            rates.tolist(), default=0.0):
+        return np.zeros(0, dtype=int)   # the usual case, in lists: cheaper
+    return np.flatnonzero(weights <= 8.0 * ROOT_NEAR_RATE * X * rates + bound)
+
+
+def _about_rates(X, Y, rates, weights, k, up, e, steps):
+    """Roots ``t_k + e`` of ``U(-s)`` next to rates, and their masses.
+
+    ``k`` indexes the rates and ``up`` picks the side of each root.  With
+    ``d_j = t_k - t_j``, ``e U(-t_k - e)`` is exactly
+    ``-H(e) e^2 + (G_k + Z_k) e + Z_k t_k``, where ``G_k`` is
+    :func:`_rest_at_rates` and ``H(e) = X + sum_{j != k} Z_j t_j/(d_j (d_j +
+    e))`` is positive, and it cancels nowhere next to ``t_k``, where the
+    secular iteration can only resolve ``e`` to the rounding of ``s``.
+    For ``H`` fixed the quadratic has one root on each side of ``t_k``;
+    each of ``steps`` steps solves it with ``H`` at the last ``e``, and
+    gains a factor ``ROOT_NEAR_RATE`` where ``|e|`` is that small against
+    :func:`_rate_gaps`.  The masses ``1/U'(-s)`` sum positive terms in ``e``
+    and the ``d_j + e``.  Returns ``(e, masses)``.
+    """
+    t, z = rates[k], weights[k]
+    d = t[:, None] - rates
+    d[np.arange(k.size), k] = np.inf   # leaves the own term out of each sum
+    b = _rest_at_rates(X, Y, rates, weights, k) + z
+    # (H = 0 leaves no root on one side: e is infinite there)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(steps):
+            h = X + (rates / (d * (d + e[:, None]))) @ weights
+            q = b + np.copysign(np.sqrt(b * b + 4.0 * h * z * t), b)
+            e = np.where(up == (b > 0.0), 0.5 * q / h, -2.0 * z * t / q)
+        slope = X + (rates / (d + e[:, None]) ** 2) @ weights
+        return e, e / (slope * e + z * t / e)   # 1/(slope + Z_k t_k/e^2)
 
 
 def _midpoint(lo, hi):
@@ -118,7 +177,10 @@ def interlaced_roots(X, Y, rates, weights):
     being ``x``.  The iteration converges quadratically, in about five
     evaluations of ``U(-s)``.  A NaN in ``U(-s)`` raises
     :class:`NumericsError` at once, and so does a bracket still open after
-    ``ROOT_MAX_STEPS`` evaluations.
+    ``ROOT_MAX_STEPS`` evaluations.  A bracket whose root lies within
+    ``ROOT_NEAR_RATE`` of the gap at its end ``t_k`` by the first step of
+    :func:`_about_rates`, for one of the :func:`_light_modes`, does not
+    iterate: two more steps give its root, held inside the bracket.
     """
     count = rates.size
     first, last = (0 if Y > 0.0 else 1), count + (1 if X > 0.0 else 0)
@@ -136,6 +198,14 @@ def interlaced_roots(X, Y, rates, weights):
 
     x = _midpoint(lo, hi)
     done = np.zeros(x.size, dtype=bool)
+    k = _light_modes(X, Y, rates, weights)
+    if k.size:   # one root each side of each light rate, to start from
+        k, up = np.repeat(k, 2), np.tile([False, True], k.size)
+        e = _about_rates(X, Y, rates, weights, k, up, np.zeros(k.size), 1)[0]
+        near = ((np.abs(e) <= ROOT_NEAR_RATE * _rate_gaps(rates)[k])
+                & (0 <= k - first + up) & (k - first + up < x.size))
+        k, up, e = k[near], up[near], e[near]
+        done[k - first + up] = True
     # the brackets on fixed weights and those slow in the last step, as
     # masks, or None while there are none
     fixed = slow = None
@@ -205,6 +275,11 @@ def interlaced_roots(X, Y, rates, weights):
                                 np.where(stop, x, _midpoint(lo, hi)))
             x = np.where(done, x, step)
             done |= stop
+    if k.size:
+        s = rates[k] + _about_rates(X, Y, rates, weights, k, up, e, 2)[0]
+        inner = np.nextafter(rates[k], np.where(up, np.inf, 0.0))
+        x[k - first + up] = np.where(up, np.maximum(s, inner),
+                                     np.minimum(s, inner))
     return x
 
 
@@ -215,10 +290,20 @@ def stieltjes_partial_fractions(X, Y, rates, weights, roots):
     in closed form: the masses are ``1/U'(-s_i)``, the constant is
     ``1/U(inf) = 1/(Y + sum Z)`` when ``X = 0`` (else 0) and the zero mass
     is ``1/U'(0) = 1/(X + sum Z_k/t_k)`` when ``Y = 0`` (else 0).  Returns
-    ``(constant, zero_mass, masses)``.  A non-finite or non-positive mass
-    means the image data were degenerate and raises :class:`NumericsError`.
+    ``(constant, zero_mass, masses)``.  A root within twice
+    ``ROOT_NEAR_RATE`` of the gap at a light rate (:func:`_light_modes`)
+    has its mass from :func:`_about_rates`.  A non-finite or non-positive
+    mass means the image data were degenerate and raises
+    :class:`NumericsError`.
     """
-    masses = 1.0 / _secular_slope(X, rates, weights, roots)
+    with np.errstate(over="ignore"):   # 1/U' a float from a tiny rate
+        masses = 1.0 / _secular_slope(X, rates, weights, roots)
+    light = _light_modes(X, Y, rates, weights)
+    if light.size:
+        at, j = np.nonzero(np.abs(roots[:, None] - rates[light]) <= 2.0
+                           * ROOT_NEAR_RATE * _rate_gaps(rates)[light])
+        k, e = light[j], roots[at] - rates[light[j]]
+        masses[at] = _about_rates(X, Y, rates, weights, k, e > 0.0, e, 2)[1]
     constant = 0.0 if X > 0.0 else 1.0 / (Y + weights.sum())
     zero_mass = 0.0 if Y > 0.0 else 1.0 / (X + np.sum(weights / rates))
     bad = ~(np.isfinite(masses) & (masses > 0.0))
@@ -327,6 +412,32 @@ class CbfImage:
         return np.maximum(out, 1e-300)
 
     @cached_property
+    def rate_bound(self):
+        """Mask of the modes whose poles the pencil cannot separate from
+        their rates.  Where ``|Z_k| max(sig, t_k eta) <= TOL_CLUSTER sig^2``,
+        with ``sig`` the least ``|eigenvalue|`` of ``G_k``
+        (:func:`_rest_at_rates`) and ``eta`` the norm of ``U'(-t_k)`` without
+        its own term, they lie within ``t_k |Z_k|/sig``, ``TOL_CLUSTER``
+        times ``t_k``, of ``t_k``, and the other poles of ``U^-1`` no nearer
+        than ``sig/eta``, that many times farther.  Together they carry the
+        residue ``t_k G_k^-1 Z_k G_k^-1`` to first order in ``Z_k``.  Only
+        modes that small against :meth:`magnitude` (a bound on ``|G_k|``)
+        are tested."""
+        lone = self.norms[2:] <= TOL_CLUSTER * self.magnitude(self.rates)
+        rows = np.flatnonzero(lone)
+        if rows.size:
+            t = self.rates[rows, None]
+            gap = np.where(t == self.rates, np.inf, t - self.rates)
+            sig = np.abs(np.linalg.eigvalsh(_rest_at_rates(
+                self.dirac, self.constant, self.rates, self.weights,
+                rows))).min(-1)
+            eta = np.linalg.eigvalsh(self.dirac + np.tensordot(
+                self.rates / gap ** 2, self.weights, 1))[:, -1]
+            lone[rows] = (self.norms[2 + rows] * np.maximum(sig, t[:, 0] * eta)
+                          <= TOL_CLUSTER * sig * sig)
+        return lone
+
+    @cached_property
     def zero_pole_floor(self):
         """Poles up to here count as at zero, in the pencil and the zero mass:
         ``TOL_ZERO_POLE`` times the slowest rate, or, without modes,
@@ -373,19 +484,24 @@ def image_pencil_roots(image):
     against ``U(-s)`` itself: a cluster where ``U(-s)`` stays regular is a
     pencil artifact, not a pole of the inverse, and is dropped.  Genuine
     poles may lie arbitrarily close to the source rates when a mode weight
-    is nearly singular, so no distance-to-rate filtering is applied.
+    is nearly singular, so no distance-to-rate filtering is applied.  The
+    modes of :attr:`CbfImage.rate_bound` stay out of the pencil (their
+    poles are their rates) and in every test of ``U(-s)``.
     """
-    factor, ranks = image.weight_factors
-    block_rates = np.repeat(image.rates, ranks)
+    lone = image.rate_bound
+    source = image if not lone.any() else CbfImage(
+        image.dirac, image.constant, image.rates[~lone], image.weights[~lone])
+    factor, ranks = source.weight_factors
+    block_rates = np.repeat(source.rates, ranks)
     block = factor * np.sqrt(block_rates)
 
     # The pencil matrix on (a, w): ``rows`` are its v rows, whose Q1 and Q0
     # parts are its a and b rows; the null factor eliminates the b rows.
     q1 = image.dirac_range
-    base = image.constant + image.weights.sum(axis=0)
+    base = image.constant + source.weights.sum(axis=0)
     rows = np.hstack([base @ q1, -block])
     reduced = np.block([[q1.T @ rows], [-block.T @ q1, np.diag(block_rates)]])
-    coupling = image.null_factor @ rows
+    coupling = source.null_factor @ rows
     reduced -= coupling.T @ coupling
     root = 1.0 / np.sqrt(np.append(image.dirac_eigs, np.ones(block_rates.size)))
     eigvals = np.linalg.eigvalsh(root[:, None] * reduced * root)
@@ -539,8 +655,11 @@ def decompose_inverse(image):
     the constant is ``G'G`` (:attr:`CbfImage.null_factor`), PSD and in the
     nullspace of ``X`` by construction.  One batched ``eigh`` of
     ``[constant, zero_mass, residues]`` gives their norms, which set the
-    decomposition scale and the cancellation test, and the eigenpairs with
-    which the kept residues are clipped.
+    decomposition scale of the clip test, and the eigenpairs with which the
+    zero mass and the residues are clipped.  Every pole keeps its residue:
+    each is a pole of ``U^-1`` however light.  The poles of a mode of
+    :attr:`CbfImage.rate_bound` are one, on its rate, with the residue of
+    :func:`_rest_at_rates`.
     """
     eigs = image_pencil_roots(image)
 
@@ -553,18 +672,26 @@ def decompose_inverse(image):
     null_y = v[:, w <= image.zero_pole_floor * np.sum(v * (slope @ v), 0)]
     [zero_mass] = _nullspace_residues([null_y], slope[None])
 
-    poles = np.array([s for s, _ in eigs], dtype=float)
+    # the pencil's poles, then those of the rate-bound modes, on their rates
+    lone = np.flatnonzero(image.rate_bound)
     bases = [basis for _, basis in eigs]
-    _certify_pole_count(image, poles, [b.shape[1] for b in bases],
-                        null_y.shape[1])
-    raw = _nullspace_residues(bases, image.derivative(-poles))
+    poles = np.array([s for s, _ in eigs] + image.rates[lone].tolist())
+    widths = np.append([b.shape[1] for b in bases],
+                       image.weight_factors[1][lone]).astype(int)
+    order = np.argsort(poles, kind="stable")
+    _certify_pole_count(image, poles[order], widths[order], null_y.shape[1])
+    raw = _nullspace_residues(bases, image.derivative(-poles[:len(bases)]))
+    if lone.size:
+        inverse = np.linalg.inv(_rest_at_rates(
+            image.dirac, image.constant, image.rates, image.weights, lone))
+        lumped = image.rates[lone, None, None] * (
+            inverse @ image.weights[lone] @ inverse)
+        raw, poles = np.concatenate([raw, lumped])[order], poles[order]
 
     constant = image.null_factor.T @ image.null_factor
     stack = np.concatenate([[constant, zero_mass], raw])
     w, v = np.linalg.eigh(stack)
-    norms = eig_norm(w)
-    scale = float(norms.max())
-    kept = np.append([False, True], norms[2:] > TOL_CANCEL * scale)
-    clipped, worst = _clip_residues(stack[kept], scale, (w[kept], v[kept]))
-    modes = tuple(zip(poles[kept[2:]].tolist(), clipped[1:]))
+    scale = float(eig_norm(w).max())
+    clipped, worst = _clip_residues(stack[1:], scale, (w[1:], v[1:]))
+    modes = tuple(zip(poles.tolist(), clipped[1:]))
     return MatrixStieltjesParts(constant, clipped[0], modes, worst)

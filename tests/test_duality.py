@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import mpmath
@@ -276,7 +277,7 @@ class TestMatrixDuality:
 
     @settings(deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2 ** 32 - 1),
-           decades=st.floats(-8.0, 8.0),
+           decades=st.floats(-20.0, 20.0),
            relaxation=st.booleans())
     def test_time_unit_equivariance(self, seed, decades, relaxation):
         # time in units c times longer: relaxation rates scale by c and N by
@@ -308,9 +309,42 @@ class TestMatrixDuality:
 
 
 def _laplace_product_error(kernel, dual):
+    """Largest entry of ``[p Ktilde(p)] [p Dtilde(p)] - I`` over the span."""
     rates = [r for k in (kernel, dual) for r, _ in k.modes] or [1.0]
-    return max(abs(laplace_times_p(kernel, p) * laplace_times_p(dual, p) - 1.0)
-               for p in np.geomspace(1e-3 * min(rates), 1e3 * max(rates), 60))
+    worst = 0.0
+    for p in np.geomspace(1e-3 * min(rates), 1e3 * max(rates), 60):
+        product = (np.atleast_2d(laplace_times_p(kernel, p))
+                   @ np.atleast_2d(laplace_times_p(dual, p)))
+        worst = max(worst, np.max(np.abs(product - np.eye(len(product)))))
+    return worst
+
+
+class TestLightModeNextToARate:
+    """A weight far below its neighbours puts a pole of ``U^-1`` closer to
+    its rate than a float next to the rate resolves; the dual must still
+    carry it with the right mass."""
+
+    @pytest.mark.parametrize("weight", [1e-300, 1e-30, 1e-18, 1e-16])
+    @pytest.mark.parametrize("neighbour", [
+        3.0,          # U(-1) without the light term is 0.5
+        2.0,          # ... is 0: two poles straddle the rate 1
+        1.0000001])   # ... is -1e7: the pole lies above the rate 1
+    @pytest.mark.parametrize("kind", [ScalarRelaxation, ScalarCreep])
+    def test_scalar(self, kind, neighbour, weight):
+        first, second = (0.0, 1.0) if kind is ScalarRelaxation else (1.0, 0.3)
+        k = kind.make(first, second, [(1.0, weight), (neighbour, 1.0)])
+        assert _laplace_product_error(k, dualize(k)) <= 1e-14
+
+    @pytest.mark.parametrize("weight", [1e-300, 1e-18, 1e-16, 1e-14])
+    @pytest.mark.parametrize("kind", [MatrixRelaxation, MatrixCreep])
+    def test_matrix(self, kind, weight):
+        w = np.random.default_rng(0).normal(size=(6, 6))
+        w = w @ w.T
+        first, second = ((None, np.eye(6)) if kind is MatrixRelaxation
+                         else (np.eye(6), 0.3 * np.eye(6)))
+        k = kind.make(first, second, [(1.0, weight * w), (3.0, w)])
+        assert len(k.modes) == 2
+        assert _laplace_product_error(k, dualize(k)) <= 1e-14
 
 
 class TestScalarWeightUnit:
@@ -409,6 +443,14 @@ HARD_SCALAR_KERNELS = {
     "wide-creep-fluid": (ScalarCreep, 0.5, 0.3,
                          10.0 ** np.arange(-8.0, 9.0)),
 }
+# 18 to 30 decades: a light fast mode is a pole of U^-1 like any other,
+# so nothing may drop it by a kernel-wide scale.
+for _decades in (18, 20, 30):
+    _rates = 10.0 ** np.arange(-_decades / 2, _decades / 2 + 1)
+    HARD_SCALAR_KERNELS[f"wide-{_decades}-relaxation-solid"] = (
+        ScalarRelaxation, 0.0, 1.0, _rates)
+    HARD_SCALAR_KERNELS[f"wide-{_decades}-creep-fluid"] = (
+        ScalarCreep, 0.5, 0.3, _rates)
 
 
 @pytest.mark.parametrize("name", sorted(HARD_SCALAR_KERNELS))
@@ -425,6 +467,24 @@ def test_hard_scalar_spectra_against_high_precision(name):
         worst = max(abs(_mp_laplace_times_p(k, p) * _mp_laplace_times_p(dual, p) - 1)
                     for p in np.geomspace(1e-3 * rates[0], 1e3 * rates[-1], 60))
     assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("decades", [12, 20, 30])
+def test_power_law_fit_keeps_every_pole(decades):
+    # the midpoint Prony fit of t^-alpha / Gamma(1 - alpha) at four modes
+    # per decade: the spectrum r^(alpha - 1) / (Gamma(alpha) Gamma(1 - alpha))
+    # integrated over each cell [e_i, e_i+1], at the cell's geometric
+    # midpoint.  Without an equilibrium there is one dual pole at zero and
+    # one between each pair of rates.
+    alpha = 0.3
+    edges = 10.0 ** np.linspace(-decades / 2, decades / 2, 4 * decades + 1)
+    weights = np.diff(edges ** alpha) / (
+        alpha * math.gamma(alpha) * math.gamma(1.0 - alpha))
+    rates = np.sqrt(edges[:-1] * edges[1:])
+    k = ScalarRelaxation.make(modes=list(zip(rates, weights)))
+    dual = dualize(k)
+    assert len(dual.modes) == len(rates) - 1
+    assert _laplace_product_error(k, dual) <= 1e-14
 
 
 def test_dense_fit_dualizes_without_runtime_warnings():

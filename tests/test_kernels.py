@@ -40,10 +40,16 @@ class TestCanonicalization:
         assert len(k.modes) == 1
         assert k.modes[0][1] == pytest.approx(3.0)
 
-    def test_negligible_weights_dropped(self):
-        k = ScalarRelaxation.make(equilibrium=1.0,
-                                  modes=[(1.0, 1e-18), (2.0, 1.0)])
-        assert [r for r, _ in k.modes] == [2.0]
+    def test_only_zero_weights_dropped(self):
+        # every positive weight is a pole of U^-1 that the dual needs,
+        # however light next to the others
+        k = ScalarRelaxation.make(equilibrium=1.0, modes=[
+            (0.5, 0.0), (1.0, 1e-18), (2.0, 1.0)])
+        assert k.modes == ((1.0, 1e-18), (2.0, 1.0))
+        w = spd(0)
+        m = MatrixRelaxation.make(equilibrium=np.eye(6), modes=[
+            (0.5, np.zeros((6, 6))), (1.0, 1e-18 * w), (2.0, w)])
+        assert [r for r, _ in m.modes] == [1.0, 2.0]
 
     def test_zero_kernel_rejected(self):
         with pytest.raises(InvalidKernel):
@@ -58,6 +64,10 @@ class TestCanonicalization:
     def test_negative_weight_rejected(self):
         with pytest.raises(InvalidKernel):
             ScalarRelaxation.make(modes=[(1.0, -0.5)])
+        # validated before anything is summed: a weight larger in magnitude
+        # than the rest of the kernel is still reported as negative
+        with pytest.raises(InvalidKernel, match="nonnegative"):
+            ScalarRelaxation.make(equilibrium=1.0, modes=[(1.0, -2.0)])
 
     def test_indefinite_matrix_weight_rejected(self):
         w = np.diag([1.0, 1, 1, 1, 1, -1.0])
