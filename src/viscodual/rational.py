@@ -138,6 +138,29 @@ def _midpoint(lo, hi):
                     0.5 * (lo + hi))
 
 
+def _arrowhead_roots(X, Y, rates, weights):
+    """Eigenvalues of the ``d = 1`` symmetric pencil, ascending, or None
+    where its data are not finite.
+
+    With ``c = sqrt(t Z/X)`` and ``S = Y + sum Z``, the arrowhead
+    ``[[S/X, c'], [c, diag(t)]]`` (``X > 0``) has the characteristic
+    equation ``S/X - s - sum c_k^2/(t_k - s) = 0``, which is ``U(-s)/X``;
+    for ``X = 0`` the same holds for ``diag(t) - c c'/S`` with
+    ``c = sqrt(t Z)``.  So its eigenvalues are the roots of ``U(-s)``
+    (with 0 for ``Y = 0``), each to ``eps`` times its norm.
+    """
+    total = Y + weights.sum()
+    if X > 0.0:
+        arrow = np.diag(np.concatenate([[total / X], rates]))
+        arrow[1:, 0] = np.sqrt(rates * weights / X)   # eigvalsh reads below
+    else:
+        c = np.sqrt(rates * weights)
+        arrow = np.diag(rates) - np.outer(c, c / total)
+    if not np.isfinite(arrow).all():
+        return None
+    return np.linalg.eigvalsh(arrow)
+
+
 def interlaced_roots(X, Y, rates, weights):
     """Positive roots ``s`` of ``U(-s) = -X s + Y + sum Z_k s/(s - t_k)``.
 
@@ -151,12 +174,17 @@ def interlaced_roots(X, Y, rates, weights):
     still positive, and the highest ends at ``max(2 t_K, 2 (Y + 2 sum Z)/X)``,
     where it is negative.
 
-    All brackets iterate at once, from the midpoint of ``(lo, hi)``
-    (geometric while it spans more than a factor of ``ROOT_LOG_RATIO``),
-    by the rational interpolation of R.-C. Li, *Solving secular equations
-    stably and efficiently* (LAWN 89, 1993), the "middle way" of LAPACK
-    ``dlaed4``.  At an iterate ``x`` the sign of ``U(-x)`` moves ``lo`` or
-    ``hi`` to ``x``.  The terms with poles up to ``a`` are modelled as
+    Each bracket starts from its root of the ``d = 1`` symmetric pencil
+    (:func:`_arrowhead_roots`, one ``eigvalsh``) where ``hi`` of the top
+    bracket is at most ``1/sqrt(eps)`` times ``lo`` of the lowest, so that
+    the eigensolve's rounding stays within ``sqrt(eps)`` of every root; on
+    wider spans, or where that start leaves ``(lo, hi)`` or the pencil is
+    not finite, from the midpoint of ``(lo, hi)`` (geometric while it spans
+    more than a factor of ``ROOT_LOG_RATIO``).  All brackets iterate at
+    once, by the rational interpolation of R.-C. Li, *Solving secular
+    equations stably and efficiently* (LAWN 89, 1993), the "middle way" of
+    LAPACK ``dlaed4``.  At an iterate ``x`` the sign of ``U(-x)`` moves
+    ``lo`` or ``hi`` to ``x``.  The terms with poles up to ``a`` are modelled as
     ``q1/(s - a)``, the rest as ``q2/(s - b)`` (as ``-X s`` in the top
     bracket), each matched in value and slope at ``x``
     (:func:`_secular_terms`), and the model's root in ``(a, b)`` is the
@@ -169,13 +197,14 @@ def interlaced_roots(X, Y, rates, weights):
     of tiny weight, the middle way lends that pole the slope of its
     heavier neighbours and converges only linearly, failing the test at
     every step.  (``dlaed4`` switches after one such step; one happens
-    after the crude start in the middle of a bracket, from where the
-    middle way is quadratic anyway.)  A bracket stops when its model step
+    after a crude start in the middle of a bracket, from where the middle
+    way is quadratic anyway.)  A bracket stops when its model step
     is at most ``ROOT_STEP_REL`` (4 ulps) of ``x``, its root being that
     step, or ``x`` if the step leaves ``(lo, hi)``; or when the step leaves
     a bracket narrowed to relative width ``ROOT_REL_WIDTH``, its root then
-    being ``x``.  The iteration converges quadratically, in about five
-    evaluations of ``U(-s)``.  A NaN in ``U(-s)`` raises
+    being ``x``.  The iteration converges quadratically: from the pencil's
+    starts, most brackets stop at the second evaluation of ``U(-s)``, and
+    from midpoints after about five.  A NaN in ``U(-s)`` raises
     :class:`NumericsError` at once, and so does a bracket still open after
     ``ROOT_MAX_STEPS`` evaluations.  A bracket whose root lies within
     ``ROOT_NEAR_RATE`` of the gap at its end ``t_k`` by the first step of
@@ -197,6 +226,13 @@ def interlaced_roots(X, Y, rates, weights):
     split = np.array([below, ~below]) * terms
 
     x = _midpoint(lo, hi)
+    # eigvalsh errs by eps times the arrowhead's norm, about hi[-1]: its
+    # starts are taken where that is within sqrt(eps) of the slowest root
+    if lo.size and hi[-1] * np.sqrt(np.finfo(float).eps) <= lo[0]:
+        start = _arrowhead_roots(X, Y, rates, weights)
+        if start is not None:
+            start = start[-lo.size:]
+            x = np.where((lo < start) & (start < hi), start, x)
     done = np.zeros(x.size, dtype=bool)
     k = _light_modes(X, Y, rates, weights)
     if k.size:   # one root each side of each light rate, to start from

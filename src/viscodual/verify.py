@@ -387,11 +387,15 @@ class StrainHistory:
             raise ValueError("one value required per breakpoint")
         as_value = (float if self.scalar else
                     lambda v: np.asarray(v, dtype=float).reshape(6))
+        values = tuple(map(as_value, self.values))
         jump = self.initial_jump
+        jump = None if jump is None else as_value(jump)
+        if not (np.isfinite(times).all() and np.isfinite(values).all()
+                and np.isfinite(0.0 if jump is None else jump).all()):
+            raise ValueError("history times, values and jump must be finite")
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", tuple(map(as_value, self.values)))
-        object.__setattr__(self, "initial_jump",
-                           None if jump is None else as_value(jump))
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "initial_jump", jump)
 
     @property
     def scalar(self):

@@ -276,6 +276,25 @@ class TestRespondCommand:
         assert run(["respond", str(solid_file), str(history)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("doc", [
+        {"kind": "strain", "breakpoints": [
+            {"t": 0.0, "value": 0.0}, {"t": 1.0, "value": float("nan")},
+            {"t": 2.0, "value": 1.0}]},
+        {"kind": "strain", "breakpoints": [{"t": 0.0, "value": 0.0}],
+         "initial_jump": float("inf")},
+        {"kind": "strain", "breakpoints": [
+            {"t": 0.0, "value": 0.0}, {"t": float("inf"), "value": 1.0}]},
+    ], ids=["nan-value", "infinite-jump", "infinite-last-time"])
+    def test_non_finite_history_writes_no_rows(self, solid_file, tmp_path,
+                                               doc, capsys):
+        # json reads NaN and Infinity; a history holding them is refused
+        history = tmp_path / "bad.json"
+        history.write_text(json.dumps(doc))
+        assert run(["respond", str(solid_file), str(history)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "finite" in err
+
 
 class TestEigenstressCommand:
     def test_assembles_relaxation(self, tmp_path, capsys):

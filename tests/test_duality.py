@@ -381,6 +381,29 @@ class TestScalarWeightUnit:
         for i in (0, 1, 3):
             np.testing.assert_array_equal(c * scaled_dual[i], dual[i])
 
+    @settings(deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           decades=st.floats(-100.0, 100.0),
+           relaxation=st.booleans())
+    def test_weight_unit_equivariance(self, seed, decades, relaxation):
+        # every coefficient times any c, which rounds: the poles stay where
+        # they are and every part of the dual scales by 1/c, to rounding
+        rng = np.random.default_rng(seed)
+        k = (random_scalar_relaxation if relaxation
+             else random_scalar_creep)(rng)
+        c = 10.0 ** decades
+        X, Y, rates, weights = square_image(k)
+        scaled = type(k).make(c * X[0, 0], c * Y[0, 0],
+                              [(r, c * w[0, 0]) for r, w in zip(rates, weights)])
+        dual, scaled_dual = square_image(dualize(k)), square_image(
+            dualize(scaled))
+        np.testing.assert_allclose(scaled_dual[2], dual[2], rtol=1e-14,
+                                   atol=0.0)
+        for i in (0, 1, 3):
+            np.testing.assert_allclose(
+                c * scaled_dual[i], dual[i], rtol=0.0,
+                atol=1e-13 * np.max(np.abs(dual[i]), initial=0.0))
+
 
 def _mp_image(kernel):
     """Image data ``(X, Y, rates, weights)`` of a scalar kernel as mpf."""

@@ -182,6 +182,10 @@ def _decade_image(seed, decades, constant):
     return 0.0, constant, rates, rng.uniform(0.2, 5.0, size=decades + 1)
 
 
+_NARROW_RATES = np.array([0.02, 0.3, 1.0, 7.0, 60.0])
+_NARROW_WEIGHTS = np.array([1.5, 0.4, 2.0, 0.9, 3.0])
+
+
 def _counting_evaluations(monkeypatch):
     """Wrap the evaluator of the root iteration; returns the list of the
     points it is called at, one entry per call."""
@@ -204,8 +208,14 @@ class TestSecularIteration:
         _decade_image(3, 30, 0.0), _decade_image(4, 30, 0.7),
         (0.0, 0.0, 10.0 ** np.arange(-8.0, 9.0), np.ones(17)),
         (0.0, 1.0, 10.0 ** np.arange(-8.0, 9.0), np.ones(17)),
+        # narrow spectra start from the arrowhead's eigenvalues, in both
+        # of its shapes (X = 0 and X > 0)
+        _decade_image(5, 4, 0.0), _decade_image(6, 4, 1.3),
+        (0.7, 0.0, _NARROW_RATES, _NARROW_WEIGHTS),
+        (2.5, 1.1, _NARROW_RATES, _NARROW_WEIGHTS),
     ], ids=["20-fluid", "20-solid", "30-fluid", "30-solid",
-            "17-equal-fluid", "17-equal-solid"])
+            "17-equal-fluid", "17-equal-solid", "4-fluid", "4-solid",
+            "4-dirac-fluid", "4-dirac-solid"])
     def test_wide_spectra_against_high_precision(self, image):
         roots = interlaced_roots(*image)
         _, _, masses = stieltjes_partial_fractions(*image, roots)
@@ -271,8 +281,26 @@ class TestSecularIteration:
             if interlaced_roots(*image).size:
                 counts.append(len(calls))
         assert len(counts) >= 300
-        assert np.median(counts) <= 7
-        assert max(counts) <= 12
+        assert np.median(counts) <= 2
+        assert max(counts) <= 3
+
+    def test_arrowhead_start_only_on_narrow_spans(self, monkeypatch):
+        # one symmetric eigensolve starts a 4-decade spectrum; at 30
+        # decades its rounding would exceed the slowest root, so the
+        # brackets start from their midpoints instead
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a):
+            calls.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        interlaced_roots(*_decade_image(1, 4, 0.0))
+        assert calls == [(5, 5)]
+        calls.clear()
+        interlaced_roots(*_decade_image(3, 30, 0.0))
+        assert calls == []
 
     @pytest.mark.parametrize("weight", [1e-13, 1e-10, 1e-6])
     def test_pole_of_tiny_weight(self, weight, monkeypatch):

@@ -292,6 +292,15 @@ class TestStrainHistory:
         with pytest.raises(ValueError):
             StrainHistory((0.0, 1.0), (0.0,))
 
+    @pytest.mark.parametrize("times, values, jump", [
+        ((0.0, 1.0, 2.0), (0.0, float("nan"), 1.0), None),
+        ((0.0, 1.0), (0.0, 1.0), float("inf")),
+        ((0.0, 1.0, float("inf")), (0.0, 1.0, 2.0), None),
+    ], ids=["nan-value", "infinite-jump", "infinite-last-time"])
+    def test_non_finite_history_rejected(self, times, values, jump):
+        with pytest.raises(ValueError, match="finite"):
+            StrainHistory(times, values, initial_jump=jump)
+
     def test_rate_beyond_last_breakpoint_is_zero(self):
         h = StrainHistory((0.0, 1.0), (0.0, 2.0))
         assert h.rate_at(0.5) == pytest.approx(2.0)
