@@ -11,17 +11,21 @@ solves the secular equation ``U(-s) = 0`` by rational interpolation,
 safeguarded by the brackets that the interlacing of its roots with the
 rates sets, and reads the residues off ``1/U'(-s)``; the 6x6 path
 linearizes the same data into a symmetric pencil, solves it as one
-symmetric eigenproblem, extracts residues through a nullspace formula and
-certifies the poles by an inertia count.  Every matrix the 6x6 path
-decomposes (``X``, ``Y``, the ``Z_k``, ``U(-s)`` and the residues) is
-symmetric, so each stack of them takes one batched symmetric eigensolve,
-whose eigenvalues also give their spectral norms; no step takes an SVD.
+symmetric eigensolve, polishes the poles on ``U(-s)``, extracts residues
+through a nullspace formula and certifies the poles by an inertia count.
+Every matrix the 6x6 path decomposes (``X``, ``Y``, the ``Z_k`` and
+``U(-s)``) is symmetric, so each stack of them takes one batched symmetric
+eigensolve, whose eigenvalues also give their spectral norms; no step takes
+an SVD.  Per pole that is one ``eigh`` of ``U(-s)`` per Newton pass of the
+polish, whose last eigenpairs also give the nullspace; a residue's
+spectrum comes from its small core ``B' U' B`` (:func:`_nullspace_residues`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -447,6 +451,11 @@ class CbfImage:
         out = self.norms[0] * s + self.norms[1] + ratio @ self.norms[2:]
         return np.maximum(out, 1e-300)
 
+    def on_rate(self, s):
+        """Whether each point of ``s`` is a rate, where ``U(-s)`` is not
+        defined."""
+        return (np.asarray(s)[..., None] == self.rates).any(-1)
+
     @cached_property
     def rate_bound(self):
         """Mask of the modes whose poles the pencil cannot separate from
@@ -517,8 +526,14 @@ def image_pencil_roots(image):
     :attr:`CbfImage.zero_pole_floor` are splinters of the zero eigenvalue
     of a singular ``Y`` and are dropped.  All candidates are polished
     together (see :func:`_refine_roots`), then each cluster is confirmed
-    against ``U(-s)`` itself: a cluster where ``U(-s)`` stays regular is a
-    pencil artifact, not a pole of the inverse, and is dropped.  Genuine
+    against ``U(-s)`` itself, with the nullspace test of :func:`_near_null`:
+    on the polish's last ``eigh`` at its first member where every member
+    converged, which is almost every cluster, and on one batched ``eigh``
+    at the means of the others (:func:`_image_nullspace`).  A cluster where
+    ``U(-s)`` stays regular is a pencil artifact, not a pole of the
+    inverse, and is dropped, and so is one whose mean is a rate, where
+    ``U(-s)`` is not defined (the pole-count certificate of
+    :func:`decompose_inverse` tells whether it was a pole).  Genuine
     poles may lie arbitrarily close to the source rates when a mode weight
     is nearly singular, so no distance-to-rate filtering is applied.  The
     modes of :attr:`CbfImage.rate_bound` stay out of the pencil (their
@@ -546,7 +561,9 @@ def image_pencil_roots(image):
     # Polish every candidate before clustering: splinters of a multiple
     # eigenvalue then collapse onto the same refined value, while genuinely
     # distinct poles that happen to lie close stay apart.
-    candidates = np.sort(_refine_roots(image, candidates))
+    polish = _refine_roots(image, candidates)
+    order = np.argsort(polish.roots)
+    candidates = polish.roots[order]
     if not candidates.size:
         return []
     starts = np.flatnonzero(np.concatenate(
@@ -554,10 +571,35 @@ def image_pencil_roots(image):
     sizes = np.diff(np.append(starts, candidates.size))
     means = np.add.reduceat(candidates, starts) / sizes
 
+    # U(-s) is not defined on a rate: a cluster whose mean is one is left
+    # out, and the pole-count certificate tells if it was a pole
+    settled = np.logical_and.reduceat(polish.converged[order], starts)
+    keep = ~image.on_rate(means)
+    means, first, settled = means[keep], order[starts[keep]], settled[keep]
+
+    # a cluster whose members all converged takes its nullspace from the
+    # polish's last eigh at its first member; the others take one eigh at
+    # their means
+    w, v = polish.spectra
+    bases = _near_null(image, polish.at[first], (w[first], v[first]))
+    redo = np.flatnonzero(~settled)
+    if redo.size:
+        for i, basis in zip(redo, _image_nullspace(image, means[redo])):
+            bases[i] = basis
+
     # an empty nullspace marks a regular point of U: a spurious pencil
     # eigenvalue, not a pole
-    return [(float(s), basis) for s, basis
-            in zip(means, _image_nullspace(image, means)) if basis.shape[1]]
+    return [(float(s), basis) for s, basis in zip(means, bases)
+            if basis.shape[1]]
+
+
+class Polish(NamedTuple):
+    """What :func:`_refine_roots` returns, one entry per candidate."""
+
+    roots: np.ndarray       # the polished points s
+    at: np.ndarray          # where the last eigh of U(-s) was taken
+    spectra: tuple          # that eigh, (w, v) as (n, 6) and (n, 6, 6)
+    converged: np.ndarray   # the last step was at most TOL_POLISH times s
 
 
 def _refine_roots(image, s):
@@ -572,18 +614,27 @@ def _refine_roots(image, s):
     iteration is one batched ``eigh`` of the ``(n, 6, 6)`` stack of
     ``U(-s_i)``; a candidate stops after three steps, at a zero slope,
     before a step longer than a tenth of itself, or after a step of at most
-    ``TOL_POLISH`` times itself.
+    ``TOL_POLISH`` times itself, which counts as converged.  ``U(-s)`` is
+    never evaluated on a rate, where it is not defined: a candidate there
+    stays as it is, unconverged, and a step onto a rate is not taken.
+    Returns a :class:`Polish` that keeps each candidate's last eigenpairs,
+    from which :func:`image_pencil_roots` reads the nullspaces of the
+    converged ones.
     """
     s = np.array(s, dtype=float)
-    active = np.arange(s.size)
+    at = s.copy()
+    w, v = np.zeros((s.size, 6)), np.zeros((s.size, 6, 6))
+    converged = np.zeros(s.size, dtype=bool)
+    active = np.flatnonzero(~image.on_rate(s))
     for _ in range(3):
         if not active.size:
             break
         x = -s[active]
         u_mat = image(x)
-        w, v = np.linalg.eigh(u_mat)
-        least = np.argmin(np.abs(w), axis=1)
-        right = np.take_along_axis(v, least[:, None, None], axis=2)
+        eigs, vectors = np.linalg.eigh(u_mat)
+        w[active], v[active], at[active] = eigs, vectors, s[active]
+        least = np.argmin(np.abs(eigs), axis=1)
+        right = np.take_along_axis(vectors, least[:, None, None], axis=2)
         left = np.swapaxes(right, 1, 2)
         value = (left @ u_mat @ right)[:, 0, 0]
         slope = -(left @ image.derivative(x) @ right)[:, 0, 0]
@@ -591,30 +642,37 @@ def _refine_roots(image, s):
         step = np.zeros_like(value)
         step[moving] = value[moving] / slope[moving]
         size = np.abs(step)
-        moving &= size <= 0.1 * s[active]
-        converged = size <= TOL_POLISH * s[active]
-        s[active[moving]] -= step[moving]
-        active = active[moving & ~converged]
-    return s
+        moved = s[active] - step
+        moving &= (size <= 0.1 * s[active]) & ~image.on_rate(moved)
+        done = size <= TOL_POLISH * s[active]
+        converged[active] = done
+        s[active[moving]] = moved[moving]
+        active = active[moving & ~done]
+    return Polish(s, at, (w, v), converged)
+
+
+def _near_null(image, s, spectra):
+    """The eigenvectors of ``U(-s_i)`` whose ``|eigenvalue|`` is at most
+    ``TOL_NULLSPACE`` times :meth:`CbfImage.magnitude`, one basis per
+    point, from the stack's ``eigh`` ``spectra``."""
+    w, v = spectra
+    null = np.abs(w) <= TOL_NULLSPACE * image.magnitude(s)[:, None]
+    return [vectors[:, keep] for vectors, keep in zip(v, null)]
 
 
 def _image_nullspace(image, s):
     """Orthonormal near-nullspaces of ``U(-s_i)``, one basis per point.
 
-    One batched ``eigh`` covers every point; the eigenvectors whose
-    ``|eigenvalue|`` is at most ``TOL_NULLSPACE`` times
-    :meth:`CbfImage.magnitude` span the basis.  An empty basis means
-    ``-s_i`` is a regular point and the eigenvalue cluster there is a
-    pencil artifact.  A nullspace thinner than the cluster but nonempty is
+    One batched ``eigh`` covers every point, and :func:`_near_null` keeps
+    the basis.  An empty basis means ``-s_i`` is a regular point and the
+    eigenvalue cluster there is a pencil artifact.  A nullspace thinner than the cluster but nonempty is
     accepted: the surplus members are artifacts that happened to polish
     onto a genuine root, and the nullspace dimension is authoritative
     (``U'`` is positive semidefinite on the negative axis, so true poles
     are always semisimple).
     """
     s = np.asarray(s, dtype=float)
-    w, v = np.linalg.eigh(image(-s))
-    null = np.abs(w) <= TOL_NULLSPACE * image.magnitude(s)[:, None]
-    return [vectors[:, keep] for vectors, keep in zip(v, null)]
+    return _near_null(image, s, np.linalg.eigh(image(-s)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -624,42 +682,51 @@ class MatrixStieltjesParts:
     constant: np.ndarray
     zero_mass: np.ndarray
     modes: tuple
-    min_weight_eig: float   # most negative residue eigenvalue before
-                            # clipping, relative to the decomposition scale
+    min_weight_eig: float   # least residue eigenvalue (a 1/mu of a core)
+                            # below zero, relative to the decomposition
+                            # scale; 0 when none is negative
 
 
 def _nullspace_residues(bases, slopes):
-    """Residues of ``U^-1`` from the nullspace bases ``B`` of its poles.
+    """Residues of ``U^-1`` from the nullspace bases ``B`` of its poles,
+    with their spectra.
 
-    Each is ``B (B' U' B)^-1 B'``.  ``slopes`` stacks ``U'`` at the roots;
-    bases of equal width share one batched solve.
+    Each is ``B (B' U' B)^-1 B'``; ``slopes`` stacks ``U'`` at the poles.
+    With ``mu, Q = eigh(B' U' B)`` (the core, width x width and ``1 x 1``
+    for most poles) it is ``(BQ) diag(1/mu) (BQ)'``, and ``BQ`` has
+    orthonormal columns, so its eigenvalues are the ``1/mu`` and zeros.
+    Bases of equal width share one batched ``eigh``.  Returns the residues
+    with the negative ``1/mu`` left out (``diag(1/mu)+``), and the least
+    eigenvalue (at most 0 below full width) and the spectral norm of each
+    before that.
     """
-    out = np.zeros((len(bases), 6, 6))
+    count = len(bases)
+    out, low, norms = np.zeros((count, 6, 6)), np.zeros(count), np.zeros(count)
     widths = np.array([b.shape[1] for b in bases], dtype=int)
     for width in np.unique(widths):
         index = np.flatnonzero(widths == width)
         b = np.array([bases[i] for i in index])
-        bt = np.swapaxes(b, 1, 2)
-        core = b @ np.linalg.solve(bt @ slopes[index] @ b, bt)
-        out[index] = 0.5 * (core + np.swapaxes(core, 1, 2))
-    return out
+        mu, q = np.linalg.eigh(np.swapaxes(b, 1, 2) @ slopes[index] @ b)
+        inverse = 1.0 / mu
+        bq = b @ q
+        out[index] = (bq * np.maximum(inverse, 0.0)[:, None, :]
+                      ) @ np.swapaxes(bq, 1, 2)
+        low[index] = np.minimum(inverse.min(axis=1, initial=np.inf),
+                                0.0 if width < 6 else np.inf)
+        norms[index] = np.abs(inverse).max(axis=1, initial=0.0)
+    return out, low, norms
 
 
-def _clip_residues(stack, scale, spectrum=None):
-    """PSD-clip a stack of residues; indefinite beyond tolerance is an error.
-
-    ``spectrum`` is the stack's ``eigh`` when the caller has it.  Returns
-    the clipped stack and its most negative eigenvalue before clipping
-    relative to ``scale`` (0 when none is negative).
-    """
-    clipped, low = psd_clip(stack, spectrum)
-    low = np.atleast_1d(low)
+def _least_weight_eig(low, scale):
+    """``min_weight_eig`` from the least eigenvalue of each residue: the
+    most negative relative to ``scale``, 0 when none is negative.  A
+    residue indefinite beyond ``1e-6`` of ``scale`` is an error."""
     bad = np.flatnonzero(low < -1e-6 * scale)
     if bad.size:
         raise NumericsError(
             f"residue matrix indefinite beyond tolerance "
             f"(eigmin {low[bad[0]]:.3e}, scale {scale:.3e})")
-    return clipped, float(np.min(low, initial=0.0)) / scale
+    return float(np.min(low, initial=0.0)) / scale
 
 
 def _certify_pole_count(image, poles, widths, zero_width):
@@ -689,13 +756,14 @@ def decompose_inverse(image):
     weights from the nullspace residue formula, with ``U'`` at every pole
     evaluated as one stack, after :func:`_certify_pole_count` has passed;
     the constant is ``G'G`` (:attr:`CbfImage.null_factor`), PSD and in the
-    nullspace of ``X`` by construction.  One batched ``eigh`` of
-    ``[constant, zero_mass, residues]`` gives their norms, which set the
-    decomposition scale of the clip test, and the eigenpairs with which the
-    zero mass and the residues are clipped.  Every pole keeps its residue:
-    each is a pole of ``U^-1`` however light.  The poles of a mode of
+    nullspace of ``X`` by construction, with norm ``|G|^2``.  The zero mass
+    and the residues share :func:`_nullspace_residues`, whose small cores
+    give their spectra: their norms set the decomposition scale, a residue
+    indefinite beyond ``1e-6`` of it raises, and the rest of the negative
+    part, rounding, is left out.  Every pole keeps its residue: each is a
+    pole of ``U^-1`` however light.  The poles of a mode of
     :attr:`CbfImage.rate_bound` are one, on its rate, with the residue of
-    :func:`_rest_at_rates`.
+    :func:`_rest_at_rates`, PSD-clipped through its own ``eigh``.
     """
     eigs = image_pencil_roots(image)
 
@@ -706,7 +774,6 @@ def decompose_inverse(image):
     w, v = (part[1] for part in image.spectra)   # the eigenpairs of Y
     slope = image.derivative(0.0)
     null_y = v[:, w <= image.zero_pole_floor * np.sum(v * (slope @ v), 0)]
-    [zero_mass] = _nullspace_residues([null_y], slope[None])
 
     # the pencil's poles, then those of the rate-bound modes, on their rates
     lone = np.flatnonzero(image.rate_bound)
@@ -716,18 +783,25 @@ def decompose_inverse(image):
                        image.weight_factors[1][lone]).astype(int)
     order = np.argsort(poles, kind="stable")
     _certify_pole_count(image, poles[order], widths[order], null_y.shape[1])
-    raw = _nullspace_residues(bases, image.derivative(-poles[:len(bases)]))
+    raw, low, norms = _nullspace_residues(
+        [null_y] + bases,
+        np.concatenate([[slope], image.derivative(-poles[:len(bases)])]))
+    zero_mass, raw = raw[0], raw[1:]
     if lone.size:
         inverse = np.linalg.inv(_rest_at_rates(
             image.dirac, image.constant, image.rates, image.weights, lone))
         lumped = image.rates[lone, None, None] * (
             inverse @ image.weights[lone] @ inverse)
+        spectrum = np.linalg.eigh(lumped)
+        lumped, lumped_low = psd_clip(lumped, spectrum)
         raw, poles = np.concatenate([raw, lumped])[order], poles[order]
+        low = np.append(low, lumped_low)
+        norms = np.append(norms, eig_norm(spectrum[0]))
 
-    constant = image.null_factor.T @ image.null_factor
-    stack = np.concatenate([[constant, zero_mass], raw])
-    w, v = np.linalg.eigh(stack)
-    scale = float(eig_norm(w).max())
-    clipped, worst = _clip_residues(stack[1:], scale, (w[1:], v[1:]))
-    modes = tuple(zip(poles.tolist(), clipped[1:]))
-    return MatrixStieltjesParts(constant, clipped[0], modes, worst)
+    factor = image.null_factor
+    constant = factor.T @ factor
+    if factor.size:   # |G'G| = |G|^2, the top eigenvalue of G G'
+        norms = np.append(norms, np.linalg.eigvalsh(factor @ factor.T)[-1])
+    worst = _least_weight_eig(low, float(norms.max()))
+    return MatrixStieltjesParts(constant, zero_mass,
+                                tuple(zip(poles.tolist(), raw)), worst)

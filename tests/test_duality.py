@@ -17,8 +17,10 @@ from viscodual import (
     duality_residual,
     laplace_times_p,
     parse_material,
+    serialize_material,
     symmetric6,
 )
+from viscodual.cli import run
 from viscodual.kernels import square_image
 from viscodual.rational import cbf_image
 
@@ -345,6 +347,26 @@ class TestLightModeNextToARate:
         k = kind.make(first, second, [(1.0, weight * w), (3.0, w)])
         assert len(k.modes) == 2
         assert _laplace_product_error(k, dualize(k)) <= 1e-14
+
+    def test_matrix_next_to_a_singular_rest(self, tmp_path):
+        # U(-1) without the light term is singular on three directions, and
+        # the pencil puts a pole candidate on the rate 1, where U(-s) is not
+        # defined.  Nothing evaluates U there (a RuntimeWarning is an error
+        # here, and eigh of a non-finite U a LinAlgError): the kernel
+        # converts right, or fails as a numeric failure with exit 3
+        w = np.random.default_rng(0).normal(size=(6, 6))
+        k = MatrixRelaxation.make(
+            equilibrium=np.eye(6),
+            modes=[(1.0, 1e-18 * w @ w.T),
+                   (2.0, np.diag([1.0, 1, 1, 0.5, 0.5, 3.0]))])
+        path = tmp_path / "kernel.json"
+        path.write_text(serialize_material(k))
+        try:
+            dual = dualize(k)
+        except NumericsError:
+            assert run(["dualize", str(path)]) == 3
+        else:
+            assert _laplace_product_error(k, dual) <= 1e-7
 
 
 class TestScalarWeightUnit:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import viscodual
 from viscodual import (
+    MatrixCreep,
     MatrixRelaxation,
     NumericsError,
     ScalarCreep,
@@ -21,8 +22,9 @@ from viscodual.rational import (
     TOL_CLUSTER,
     TOL_NULLSPACE,
     CbfImage,
-    _clip_residues,
     _image_nullspace,
+    _least_weight_eig,
+    _nullspace_residues,
     _refine_roots,
     cbf_as_rational,
     cbf_image,
@@ -511,7 +513,7 @@ class TestBatchedRefinement:
             assert abs(s - s_ref) <= tolerance(s_ref)
             assert basis.shape == (6, dimension)
         # the polish alone, candidate by candidate
-        polished = _refine_roots(image, seen[0])
+        polished = _refine_roots(image, seen[0]).roots
         for c, s in zip(seen[0], polished):
             s_ref = _reference_refine(image, c)
             assert abs(s - s_ref) <= tolerance(s_ref)
@@ -570,9 +572,32 @@ class TestBatchedRefinement:
         image = cbf_image(MatrixRelaxation.make(
             equilibrium=np.eye(6), modes=[(1.0, np.eye(6))]))
         start = np.array([0.5, 5.0, 40.0])
-        polished = _refine_roots(image, start)
+        polished = _refine_roots(image, start).roots
         for c, s in zip(start, polished):
             assert s == _reference_refine(image, c)
+
+    def test_never_on_a_rate(self, monkeypatch):
+        # a candidate on a rate is neither evaluated nor moved, and counts
+        # as unconverged; a Newton step onto a rate is not taken
+        image = cbf_image(MatrixRelaxation.make(
+            equilibrium=np.eye(6),
+            modes=[(1.0, np.diag([1.0, 0, 0, 0, 0, 0])),
+                   (2.0, np.diag([0.0, 1, 1, 1, 1, 1]))]))
+        points = []
+        call = CbfImage.__call__
+
+        def recording(self, p):
+            points.append(np.array(p))
+            return call(self, p)
+
+        monkeypatch.setattr(CbfImage, "__call__", recording)
+        polish = _refine_roots(image, [0.5, 1.0, 2.0, 1.0 + 2.0 ** -40])
+        assert not image.on_rate(-np.concatenate(points)).any()
+        assert polish.roots[1:3].tolist() == [1.0, 2.0]
+        assert polish.converged.tolist() == [True, False, False, True]
+        # 1 + 2^-40 is a root of the second block, 1 - s/(2 - s): its step,
+        # of about 2^-40, would land on the rate 1 and is not taken
+        assert polish.roots[3] == 1.0 + 2.0 ** -40
 
 
 def test_linalg_calls_of_a_conversion(monkeypatch):
@@ -586,10 +611,14 @@ def test_linalg_calls_of_a_conversion(monkeypatch):
     small = MatrixRelaxation.make(equilibrium=random_gram(rng, 6),
                                   modes=[(1.0, random_gram(rng, 6))])
     calls = []
+    sixes = collections.Counter()   # the 6x6 matrices given to eigensolves
 
     def counted(name, original):
         def wrapper(*args, **kwargs):
             calls.append(name)
+            shape = np.shape(args[0])
+            if name in ("eigh", "eigvalsh") and shape[-2:] == (6, 6):
+                sixes[name] += int(np.prod(shape[:-2]))
             return original(*args, **kwargs)
         return wrapper
 
@@ -597,16 +626,23 @@ def test_linalg_calls_of_a_conversion(monkeypatch):
         function = getattr(np.linalg, name)
         if callable(function) and not isinstance(function, type):
             monkeypatch.setattr(np.linalg, name, counted(name, function))
-    counts = []
+    counts, decomposed = [], []
     for k, poles in [(small, 6), (large, 48)]:
         calls.clear()
+        sixes.clear()
         assert len(viscodual.dualize(k).modes) == poles
         counts.append(collections.Counter(calls))
+        decomposed.append(sixes.total())
     for count in counts:
         assert "svd" not in count and count["eigh"] >= 3
     assert abs(counts[0]["eigh"] - counts[1]["eigh"]) <= 3
     assert counts[0] - collections.Counter(eigh=counts[0]["eigh"]) == \
         counts[1] - collections.Counter(eigh=counts[1]["eigh"])
+    # each added pole adds at most two 6x6 eigensolves (its polish pass and
+    # the dual's validation in make), each added mode two (its eigh in
+    # CbfImage and a point of the pole-count certificate), and a few
+    # candidates take a second polish pass
+    assert decomposed[1] - decomposed[0] <= 2 * (48 - 6) + 2 * (8 - 1) + 4
 
 
 def _qz_pencil_poles(image):
@@ -615,7 +651,8 @@ def _qz_pencil_poles(image):
     The pencil ``mm z = p ww z`` holds ``X`` on the right-hand side as it
     is, so no direction of ``X`` is eliminated.  Factors, splinter cut,
     polish, clustering and nullspace test are those of
-    ``image_pencil_roots``; only the eigensolve differs.  Returns
+    ``image_pencil_roots``; only the eigensolve differs, and the nullspace
+    is always tested at the cluster means.  Returns
     ``(location, nullspace width)`` pairs.
     """
     factor, ranks = image.weight_factors
@@ -640,7 +677,7 @@ def _qz_pencil_poles(image):
                   <= 1e-6 * np.maximum(np.abs(eigvals), rate_scale))
     candidates = -eigvals.real
     candidates = candidates[candidates > image.zero_pole_floor]
-    candidates = np.sort(_refine_roots(image, candidates))
+    candidates = np.sort(_refine_roots(image, candidates).roots)
     if not candidates.size:
         return []
     starts = np.flatnonzero(np.concatenate(
@@ -780,11 +817,38 @@ class TestImagePencil:
         [basis] = _image_nullspace(cbf_image(k), [5.0])
         assert basis.shape == (6, 0)
 
-    @pytest.mark.parametrize("shape", [(6, 6), (2, 6, 6)])
+    @pytest.mark.parametrize("shape", [(6, 1), (6, 3), (6, 6)])
     def test_indefinite_residue_is_a_numeric_failure(self, shape):
-        m = np.broadcast_to(np.diag([1.0, 1, 1, 1, 1, -0.5]), shape)
+        # a core B'U'B, for a basis B of this shape, with an eigenvalue
+        # below -1e-6 of the scale: the residue's spectrum says so, and the
+        # decomposition raises
+        basis = np.eye(6)[:, :shape[1]]
+        slope = np.diag([-2.0, 1, 1, 1, 1, 1])
+        residues, low, norms = _nullspace_residues(
+            [basis, basis[:, ::-1]], np.array([slope, slope]))
+        np.testing.assert_array_equal(low, -0.5)
+        assert norms.max() == (0.5 if shape[1] == 1 else 1.0)
         with pytest.raises(NumericsError, match="indefinite"):
-            _clip_residues(m, 1.0)
+            _least_weight_eig(low, float(norms.max()))
+        # the negative part is left out of the residue
+        assert np.linalg.eigvalsh(residues)[:, 0].min() >= -1e-16
+
+    def test_residue_from_the_core_spectrum(self):
+        # (BQ) diag(1/mu) (BQ)' with mu, Q = eigh(B'U'B) is B (B'U'B)^-1 B',
+        # and its eigenvalues are the 1/mu and zeros
+        rng = np.random.default_rng(37)
+        for width in range(7):
+            basis = np.linalg.qr(rng.normal(size=(6, 6)))[0][:, :width]
+            slope = random_gram(rng, 6)
+            [residue], low, norms = _nullspace_residues([basis], slope[None])
+            core = basis.T @ slope @ basis
+            expected = basis @ np.linalg.solve(core, basis.T)
+            np.testing.assert_allclose(residue, expected, rtol=0,
+                                       atol=1e-13 * max(norms[0], 1e-300))
+            eigs = np.linalg.eigvalsh(expected)
+            assert norms[0] == pytest.approx(np.abs(eigs).max(), rel=1e-12)
+            assert low[0] == (0.0 if width < 6 else pytest.approx(
+                eigs[0], rel=1e-12))
 
     def test_residues_are_psd(self):
         rng = np.random.default_rng(31)
@@ -798,6 +862,141 @@ class TestImagePencil:
                 # rounding-level negative eigenvalue can survive
                 floor = -1e-14 * max(1.0, np.linalg.norm(w, 2))
                 assert np.linalg.eigvalsh(w)[0] >= floor
+
+
+def _mp_matrix_parts(image):
+    """``U(p)^-1`` of a 6x6 image at 30 digits, started from the poles of
+    :func:`decompose_inverse`.
+
+    Returns ``(pole, constant, zero_mass, zero_width)``.  ``pole`` takes a
+    float pole ``s`` to ``(root, width, residue)``: ``root`` is
+    ``mpmath.findroot`` on the eigenvalue of ``U(-s)`` of least
+    ``|lambda|`` (``mpmath.eigsy``), ``width`` counts the eigenvalues there
+    below ``1e-15`` of the largest, and the residue is
+    ``B (B' U'(-s) B)^-1 B'`` on their eigenvectors ``B``.  The constant is
+    ``Q0 (Q0' (Y + sum Z) Q0)^-1 Q0'`` and the zero mass
+    ``B0 (B0' U'(0) B0)^-1 B0'`` over the nullspaces ``Q0`` of ``X`` and
+    ``B0`` of ``Y``, of width ``zero_width``.  Matrices come back as float
+    arrays.
+    """
+    mp = mpmath.mp
+
+    def entries(a):
+        return [mp.mpf(v) for v in np.ravel(a).tolist()]
+
+    def build(first, factors):
+        # first + sum_k factors[k] Z_k, entry by entry
+        return mp.matrix([[first[6 * i + j] + mp.fdot(z[6 * i + j], factors)
+                           for j in range(6)] for i in range(6)])
+
+    def inverse_on_null(m, core):
+        """``B (B' core B)^-1 B'`` over the near-null eigenvectors ``B`` of
+        ``m``, with their number."""
+        e, q = mp.eigsy(m)
+        top = max(abs(v) for v in e)
+        cols = [c for c in range(6) if abs(e[c]) <= 1e-15 * top]
+        if not cols:
+            return np.zeros((6, 6)), 0
+        b = mp.matrix([[q[r, c] for c in cols] for r in range(6)])
+        out = b * mp.inverse(b.T * core * b) * b.T
+        return np.array(out.tolist(), dtype=float), len(cols)
+
+    with mp.workdps(30):
+        x, y = entries(image.dirac), entries(image.constant)
+        rates = entries(image.rates)
+        z = [entries(column)
+             for column in np.reshape(image.weights, (-1, 36)).T]
+        none = [mp.mpf(0)] * len(rates)
+
+        def u(s):
+            return build([b - a * s for a, b in zip(x, y)],
+                         [s / (s - t) for t in rates])
+
+        def slope(s):
+            return build(x, [t / (t - s) ** 2 for t in rates])
+
+        def least(s):
+            return min(mp.eigsy(u(s), eigvals_only=True), key=abs)
+
+        def pole(s):
+            with mp.workdps(30):
+                s = mp.mpf(s)
+                root = mp.findroot(least, (s, s * (1 + mp.mpf(1e-12))),
+                                   tol=mp.mpf(10) ** -20, verify=False)
+                residue, width = inverse_on_null(u(root), slope(root))
+                return float(root), width, residue
+
+        constant = inverse_on_null(build(x, none),
+                                   build(y, [1] * len(rates)))[0]
+        zero_mass, zero_width = inverse_on_null(build(y, none),
+                                                slope(mp.mpf(0)))
+        return pole, constant, zero_mass, zero_width
+
+
+def _oracle_kernel(name):
+    rng = np.random.default_rng([44, len(name)])
+    if name == "one-mixed-mode":
+        return MatrixRelaxation.make(equilibrium=random_gram(rng, 6),
+                                     modes=[(1.0, random_gram(rng, 3))])
+    if name == "eight-mixed-modes":
+        return MatrixCreep.make(
+            instantaneous=random_gram(rng, 6),
+            modes=[(r, random_gram(rng, int(rng.integers(1, 7))))
+                   for r in rate_set(rng, 8)])
+    if name == "twenty-full-rank-modes":
+        return MatrixRelaxation.make(
+            equilibrium=random_gram(rng, 6),
+            modes=[(r, random_gram(rng, 6)) for r in rate_set(rng, 20)])
+    if name == "singular-dirac":   # the constant of U^-1 on the null of X
+        return MatrixRelaxation.make(
+            newtonian=np.diag([2.0, 1.0, 0.5, 0.0, 0.0, 0.0]),
+            equilibrium=random_gram(rng, 6),
+            modes=[(r, random_gram(rng, 2)) for r in rate_set(rng, 3)])
+    if name == "singular-equilibrium":   # the zero mass on the null of Y
+        return MatrixRelaxation.make(
+            newtonian=random_gram(rng, 6),
+            equilibrium=np.diag([1.0, 3.0, 0.0, 2.0, 0.0, 0.0]),
+            modes=[(r, random_gram(rng, 2)) for r in rate_set(rng, 3)])
+    # ten decades, one mode per decade
+    return MatrixRelaxation.make(
+        equilibrium=random_gram(rng, 6),
+        modes=[(10.0 ** e * rng.uniform(1, 2), random_gram(rng, int(r)))
+               for e, r in zip(range(-5, 6), rng.integers(1, 7, size=11))])
+
+
+@pytest.mark.parametrize("name", [
+    "one-mixed-mode", "eight-mixed-modes", "twenty-full-rank-modes",
+    "singular-dirac", "singular-equilibrium", "ten-decades"])
+def test_matrix_parts_against_high_precision(name):
+    # every pole within 1e-12 (relative) of a 30-digit root of U(-s), and
+    # every weight within 1e-10 of the largest of the 30-digit residue; the
+    # roots are distinct, and their multiplicities with the zero mass's
+    # count every pole, rank X + sum rank Z_k
+    kernel = _oracle_kernel(name)
+    image = cbf_image(kernel)
+    parts = decompose_inverse(image)
+    pole, constant, zero_mass, zero_width = _mp_matrix_parts(image)
+    largest = max(np.linalg.norm(m, 2)
+                  for m in [parts.zero_mass] + [w for _, w in parts.modes])
+    roots, count = [], zero_width
+    for s, weight in parts.modes:
+        root, width, residue = pole(s)
+        assert abs(s - root) <= 1e-12 * root
+        np.testing.assert_allclose(weight, residue, rtol=0,
+                                   atol=1e-10 * largest)
+        roots.append(root)
+        count += width
+    assert np.all(np.diff(roots) > 1e-10 * np.array(roots[1:]))
+    assert count == sum(np.linalg.matrix_rank(m) for m in
+                        [image.dirac, *image.weights])
+    np.testing.assert_allclose(parts.zero_mass, zero_mass, rtol=0,
+                               atol=1e-10 * largest)
+    np.testing.assert_allclose(parts.constant, constant, rtol=0,
+                               atol=1e-10 * np.linalg.norm(constant, 2))
+    if name == "singular-dirac":
+        assert np.linalg.norm(constant, 2) > 0.1
+    if name == "singular-equilibrium":
+        assert zero_width == 3
 
 
 class TestClosedFormConstant:
