@@ -92,6 +92,8 @@ def matrix_norm(m):
 
     Only non-symmetric matrices need it; a symmetric stack has its norms
     from the eigenvalues it is decomposed into anyway (:func:`eig_norm`).
+    Its callers are the checks of :mod:`verify`, which hand it only the
+    misfits that can decide their result.
     """
     norms = (np.abs(m[..., 0, 0]) if m.shape[-2:] == (1, 1)   # 2-norm of 1x1
              else np.linalg.svd(m, compute_uv=False)[..., 0])
@@ -115,11 +117,14 @@ def psd_flags(stack, tol=TOL_PSD):
     may hold one value per matrix.  One batched ``eigvalsh`` of the
     symmetric parts gives every eigenvalue and the norms (:func:`eig_norm`;
     a matrix symmetric within ``TOL_PSD`` has the norm of its symmetric
-    part to that tolerance).  Returns ``(psd, pd, norms)``.
+    part to that tolerance).  The eigenvalue of a ``1 x 1`` matrix is read
+    off its entry, which is what ``eigvalsh`` returns, to the bit, NaN,
+    infinities and ``-0.0`` included.  Returns ``(psd, pd, norms)``.
     """
     stack = np.asarray(stack, dtype=float)
     flipped = np.swapaxes(stack, -1, -2)
-    w = np.linalg.eigvalsh(0.5 * (stack + flipped))
+    part = 0.5 * (stack + flipped)
+    w = part[..., 0] if part.shape[-1] == 1 else np.linalg.eigvalsh(part)
     norms = eig_norm(w)
     floor = tol * norms
     symmetric = (np.max(np.abs(stack - flipped), axis=(-2, -1), initial=0.0)

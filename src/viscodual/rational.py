@@ -193,16 +193,7 @@ def interlaced_roots(X, Y, rates, weights):
     bracket), each matched in value and slope at ``x``
     (:func:`_secular_terms`), and the model's root in ``(a, b)`` is the
     next iterate if it lies inside ``(lo, hi)``, and the midpoint of
-    ``(lo, hi)`` otherwise.  Where ``|U(-x)|`` keeps its sign and does not
-    fall tenfold in two steps running, an open bracket switches between
-    this model and Li's fixed-weight one: the pole at the end of ``(a, b)``
-    nearer to ``x`` keeps its true ``q = Z_k t_k``, and a model pole at
-    the other end takes the slope of all the other terms.  Next to a pole
-    of tiny weight, the middle way lends that pole the slope of its
-    heavier neighbours and converges only linearly, failing the test at
-    every step.  (``dlaed4`` switches after one such step; one happens
-    after a crude start in the middle of a bracket, from where the middle
-    way is quadratic anyway.)  A bracket stops when its model step
+    ``(lo, hi)`` otherwise.  A bracket stops when its model step
     is at most ``ROOT_STEP_REL`` (4 ulps) of ``x``, its root being that
     step, or ``x`` if the step leaves ``(lo, hi)``; or when the step leaves
     a bracket narrowed to relative width ``ROOT_REL_WIDTH``, its root then
@@ -225,9 +216,8 @@ def interlaced_roots(X, Y, rates, weights):
     if lo.size and Y > 0.0:
         lo[0] = 0.5 * min(hi[0], Y / (X + 2.0 * (weights / rates).sum()))
     # the middle way's groups: the rates up to a, and the rest
-    terms = rates * weights
     below = rates <= a[:, None]
-    split = np.array([below, ~below]) * terms
+    split = np.array([below, ~below]) * (rates * weights)
 
     x = _midpoint(lo, hi)
     # eigvalsh errs by eps times the arrowhead's norm, about hi[-1]: its
@@ -246,11 +236,9 @@ def interlaced_roots(X, Y, rates, weights):
                 & (0 <= k - first + up) & (k - first + up < x.size))
         k, up, e = k[near], up[near], e[near]
         done[k - first + up] = True
-    # the brackets on fixed weights and those slow in the last step, as
-    # masks, or None while there are none
-    fixed = slow = None
     evaluations = 0
-    # (a ratio of two values of U(-s) may overflow; it only has to exceed 0.1)
+    # (both quotients of the model's root are formed, and the one not taken
+    # may divide by zero)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while not done.all():
             if evaluations == ROOT_MAX_STEPS:
@@ -258,28 +246,6 @@ def interlaced_roots(X, Y, rates, weights):
                                     "below floating-point resolution")
             evaluations += 1
             value, slopes = _secular_terms(X, Y, rates, weights, split, x)
-            if evaluations > 1:
-                # same sign, and not fallen tenfold, in two steps running
-                # (tested on lists: a numpy reduction over a few brackets
-                # costs more than the rest of the test)
-                slow, was_slow = value / previous > 0.1, slow
-                if True not in slow.tolist():
-                    slow = None
-                elif was_slow is not None:
-                    toggle = slow & was_slow & ~done
-                    if True in toggle.tolist():
-                        fixed = toggle if fixed is None else fixed ^ toggle
-                        # the pole at the end of a fixed bracket nearer to
-                        # x leaves its side's group for a third of its own
-                        near_a = x - a < b - x
-                        own = fixed[:, None] & (
-                            rates == np.where(near_a, a, b)[:, None])
-                        split = np.array([below & ~own, ~below & ~own,
-                                          own]) * terms
-                        fixed_a, fixed_b = fixed & near_a, fixed & ~near_a
-                        gap = x[:, None] - rates
-                        slopes = (split / (gap * gap)).sum(-1)
-            previous = value
             np.copyto(lo, x, where=value >= 0.0)
             np.copyto(hi, x, where=value <= 0.0)
             # With p = x - a and r = 1/(b - x) (0 in the top bracket), the
@@ -287,17 +253,7 @@ def interlaced_roots(X, Y, rates, weights):
             # in eta = s - x; its root in (a, b) is taken free of cancellation.
             p = x - a
             r = 1.0 / (b - x)
-            if fixed is None:
-                lower, upper = slopes[0], slopes[1] + X
-            else:
-                # the nearer pole keeps its own Z t, the model pole at the
-                # other end takes all the other terms (summed as such: the
-                # slope less the light pole's would cancel)
-                rest = slopes[0] + slopes[1] + X
-                lower = np.where(fixed_a, slopes[2],
-                                 np.where(fixed_b, rest, slopes[0]))
-                upper = np.where(fixed_b, slopes[2],
-                                 np.where(fixed_a, rest, slopes[1] + X))
+            lower, upper = slopes[0], slopes[1] + X
             fp = value * p
             alpha = (value - lower * p) * r + upper
             half = 0.5 * ((lower + upper) * p - value * (1.0 - p * r))

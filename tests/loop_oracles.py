@@ -4,8 +4,11 @@
 These are the one-time-at-a-time versions of ``verify``'s convolution and
 well-formedness shape checks, and of ``matio``'s CSV sampling, and the
 separate scalar and 6x6 bodies of the limit identities, and the
-one-number-at-a-time text writers of ``matio`` and the ``respond`` command.
-The sampling loop and the writers must agree with the package bit for bit.
+one-number-at-a-time text writers of ``matio`` and the ``respond`` command,
+and the duality residual with a singular-value call at every grid time and
+the definiteness flags with ``eigvalsh`` at every size.  The sampling loop,
+the writers, the residual and the flags must agree with the package bit
+for bit.
 The convolution loop sums in another order, so it also returns its term
 scale: the sum of the magnitudes of the terms it adds, the size that
 rounding is relative to.  The well-formedness loop sums each derivative term
@@ -26,8 +29,16 @@ from viscodual import (
     eval_relaxation,
 )
 from viscodual.kernels import (
-    NumericsError, cbf_as_rational, is_psd, matrix_norm, max_rate)
-from viscodual.verify import TOL_CM, TOL_EQUAL_RATE, TOL_LIMITS, _ReportBuilder
+    TOL_PSD, NumericsError, cbf_as_rational, eig_norm, is_psd, matrix_norm,
+    max_rate)
+from viscodual.verify import (
+    TOL_CM,
+    TOL_EQUAL_RATE,
+    TOL_LIMITS,
+    _convolution_values,
+    _ReportBuilder,
+    default_time_grid,
+)
 
 
 def _size(x):
@@ -236,6 +247,33 @@ def loop_convolution(relaxation, creep, t):
     for value, _ in terms[1:]:
         out = out + value
     return out, sum(size for _, size in terms)
+
+
+# ---------------------------------------------------------------------------
+# Duality residual and definiteness flags, no matrix skipped
+# ---------------------------------------------------------------------------
+
+def full_grid_residual(relaxation, creep):
+    """``max ||E(t)||_2 / w(t)`` over the whole default grid, with the
+    spectral norm of the misfit ``E(t) = (R * C)(t) - t I`` at every time."""
+    t = default_time_grid(relaxation, creep)
+    value = _convolution_values(relaxation, creep, t)
+    err = matrix_norm(value - t[:, None, None] * np.eye(value.shape[-1]))
+    rmax = max(max_rate(relaxation), max_rate(creep))
+    return float(np.max(err / np.maximum(t, 1e-6 / rmax), initial=0.0))
+
+
+def eigvalsh_psd_flags(stack, tol=TOL_PSD):
+    """``psd_flags`` with one ``eigvalsh`` of the symmetric parts at every
+    size, ``1 x 1`` included."""
+    flipped = np.swapaxes(stack, -1, -2)
+    w = np.linalg.eigvalsh(0.5 * (stack + flipped))
+    norms = eig_norm(w)
+    floor = tol * norms
+    symmetric = (np.max(np.abs(stack - flipped), axis=(-2, -1), initial=0.0)
+                 <= TOL_PSD * norms)
+    lowest = w[..., 0]
+    return symmetric & (lowest >= -floor), symmetric & (lowest > floor), norms
 
 
 # ---------------------------------------------------------------------------

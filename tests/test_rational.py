@@ -309,8 +309,9 @@ class TestSecularIteration:
         # the two lowest roots lie about sqrt(weight)/sqrt(20) either side
         # of the rate 1, whose weight is tiny; a model pole at 1 fitted to
         # the slope of the weight-1 pole at 2 only halves the distance to
-        # the root per step (25, 20 and 13 evaluations before the switch
-        # to fixed weights)
+        # the root per step, so the roots are taken about the rate
+        # (_about_rates) at the two tiny weights, and iterate from the
+        # arrowhead's starts, next to them, at 1e-6
         k = ScalarRelaxation.make(equilibrium=1.0,
                                   modes=[(1.0, weight), (2.0, 1.0)])
         calls = _counting_evaluations(monkeypatch)

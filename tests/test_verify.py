@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import viscodual.cli
+import viscodual.verify
 from viscodual import (
     MatrixCreep,
     MatrixRelaxation,
@@ -19,14 +21,22 @@ from viscodual import (
     respond,
     respond_creep,
 )
+from viscodual.kernels import TOL_PSD, matrix_norm, psd_flags
+from viscodual.verify import _peak_candidates
 
 from kernel_corpus import (
+    _coefficients,
     random_matrix_creep,
     random_matrix_relaxation,
     random_scalar_creep,
     random_scalar_relaxation,
 )
-from loop_oracles import loop_matrix_limit_checks, loop_scalar_limit_checks
+from loop_oracles import (
+    eigvalsh_psd_flags,
+    full_grid_residual,
+    loop_matrix_limit_checks,
+    loop_scalar_limit_checks,
+)
 
 
 class TestCheckWellformed:
@@ -381,3 +391,173 @@ class TestRespond:
                                 initial_jump=np.ones(6))
         with pytest.raises(ValueError):
             respond(r, history, [1.0])
+
+
+def _outcome(residual, relaxation, creep):
+    """A residual as a float hex, or the name of the error it raised."""
+    try:
+        return float(residual(relaxation, creep)).hex()
+    except np.linalg.LinAlgError as exc:
+        return type(exc).__name__
+
+
+def _scaled(kernel, factor):
+    """The kernel with every coefficient times ``factor``."""
+    first, second = _coefficients(kernel)
+    return type(kernel).make(factor * first, factor * second,
+                             [(r, factor * w) for r, w in kernel.modes])
+
+
+def _slower_first_rate(kernel):
+    (rate, weight), *rest = kernel.modes
+    return type(kernel).make(*_coefficients(kernel),
+                             [(1.01 * rate, weight)] + rest)
+
+
+def _matrix_pairs():
+    """6x6 dual pairs of the corpus, relaxation first, and each pair with
+    one rate of the dual times 1.01."""
+    rng = np.random.default_rng(52)
+    pairs = []
+    for maker in (random_matrix_relaxation, random_matrix_creep):
+        for _ in range(6):
+            k = maker(rng)
+            d = dualize(k)
+            pairs.append((k, d) if k.relaxation else (d, k))
+            if d.modes:
+                wrong = _slower_first_rate(d)
+                pairs.append((k, wrong) if k.relaxation else (wrong, k))
+    return pairs
+
+
+class TestPrunedResidual:
+    """The 6x6 residual takes singular values only where it can peak, and
+    equals, bit for bit, the residual of the whole grid."""
+
+    @pytest.mark.parametrize("factor", [1.0, 2.0 ** -1000, 2.0 ** 1000])
+    def test_equals_full_grid(self, factor):
+        for r, c in _matrix_pairs():
+            pair = _scaled(r, factor), _scaled(c, 1.0 / factor)
+            assert (_outcome(duality_residual, *pair)
+                    == _outcome(full_grid_residual, *pair))
+
+    def test_nan_weight_fails_the_check(self, monkeypatch):
+        r = ScalarRelaxation.make(equilibrium=1.0, modes=[(1.0, 1.0)])
+        c = dualize(r)
+        (rate, _), = c.modes
+        bad = ScalarCreep(c.instantaneous, c.fluidity, ((rate, np.nan),))
+        assert np.isnan(duality_residual(r, bad))
+        assert np.isnan(full_grid_residual(r, bad))
+        kernels = {"relaxation.json": r, "creep.json": bad}
+        monkeypatch.setattr(viscodual.cli, "_read", lambda path: path)
+        monkeypatch.setattr(viscodual.cli, "parse_material", kernels.get)
+        assert viscodual.cli.run(
+            ["check", "relaxation.json", "--against", "creep.json"]) == 1
+        # a 6x6 NaN reaches the singular-value call either way
+        m = MatrixRelaxation.make(equilibrium=np.eye(6),
+                                  modes=[(1.0, np.eye(6))])
+        d = dualize(m)
+        (rate, weight), = d.modes
+        weight = np.array(weight)
+        weight[1, 2] = np.nan
+        bad = MatrixCreep(d.instantaneous, d.fluidity, ((rate, weight),))
+        assert (_outcome(duality_residual, m, bad)
+                == _outcome(full_grid_residual, m, bad) == "LinAlgError")
+
+    def test_exact_mode_free_pair_and_empty_grid(self):
+        r = MatrixRelaxation.make(equilibrium=np.eye(6))
+        c = MatrixCreep.make(instantaneous=np.eye(6))
+        assert duality_residual(r, c) == full_grid_residual(r, c) == 0.0
+        assert duality_residual(*_matrix_pairs()[0], grid=[]) == 0.0
+
+    def test_singular_values_only_where_the_residual_can_peak(
+            self, monkeypatch):
+        # these 24 pairs hand 220 of their 1090 grid times (20 %) to the
+        # singular-value call; the bound is a quarter
+        sizes = []
+
+        def counting(stack):
+            sizes.append(len(stack))
+            return matrix_norm(stack)
+
+        monkeypatch.setattr(viscodual.verify, "matrix_norm", counting)
+        pairs = _matrix_pairs()
+        times = sum(len(default_time_grid(r, c)) for r, c in pairs)
+        for r, c in pairs:
+            duality_residual(r, c)
+        assert len(sizes) == len(pairs)
+        assert sum(sizes) <= times / 4, (sum(sizes), times)
+        # the limit identities take the norm of each misfit they report
+        for r, c in pairs:
+            sizes.clear()
+            report = check_limit_identities(r, c)
+            assert sizes == [sum(e.name.endswith("-reciprocity")
+                                 for e in report.entries)]
+
+    @pytest.mark.parametrize("log2_ratio", [0, -1070, 1100])
+    def test_candidates_on_stacks_with_ties_and_non_finite_entries(
+            self, log2_ratio):
+        # rank-1 matrices, whose Frobenius norm is their norm, half of them
+        # one column, whose column norm is too, at ratios an ulp or so
+        # apart; zero matrices, and one NaN or infinite entry; ratios of
+        # norm to weight near 1, subnormal, or beyond the float range,
+        # where every matrix is taken
+        rng = np.random.default_rng(53)
+        for case in range(100):
+            u, v = rng.normal(size=(2, 40, 6, 1))
+            if case % 2:
+                v = np.eye(6)[rng.integers(0, 6, 40), :, None]
+            stack = u @ np.swapaxes(v, -1, -2)
+            stack /= matrix_norm(stack)[:, None, None]
+            stack *= (1.0 + rng.integers(0, 3, 40) * 2.0 ** -52)[:, None, None]
+            stack[rng.integers(0, 40, 5)] = 0.0
+            if case % 3:
+                bad = (np.nan, np.inf)[case % 3 - 1]
+                stack[rng.integers(0, 40), 2, 3] = bad
+            exponent = float(rng.integers(-200, 200))
+            weight = np.full(40, 2.0 ** (exponent - log2_ratio / 2))
+            stack *= 2.0 ** (exponent + log2_ratio / 2)
+            with np.errstate(over="ignore"):
+                take = _peak_candidates(stack, weight)
+            assert take[np.isnan(stack).any(axis=(1, 2))].all()
+            if np.isnan(stack).any():   # the singular values raise
+                continue
+            with np.errstate(over="ignore"):
+                full = matrix_norm(stack) / weight
+                got = np.max(matrix_norm(stack[take]) / weight[take],
+                             initial=0.0)
+            if log2_ratio == 0 and np.isfinite(stack).all():
+                assert not take[np.all(stack == 0.0, axis=(1, 2))].any()
+            assert take[~np.isfinite(full)].all()
+            assert float(got).hex() == float(np.max(full)).hex()
+
+    def test_candidates_at_ratios_with_subnormal_squares(self):
+        # ratios of norm to weight near 2^-537 square to a few bits, which
+        # leave the bounds no margin, so every matrix is taken
+        rng = np.random.default_rng(54)
+        for _ in range(3000):
+            d, n = rng.integers(2, 7), rng.integers(2, 6)
+            stack = rng.normal(size=(n, d, d)) * 2.0 ** -537
+            stack[:, :, 1:] *= rng.integers(0, 2)   # or one column
+            weight = np.full(n, 2.0 ** float(rng.integers(-3, 5)))
+            take = _peak_candidates(stack, weight)
+            got = np.max(matrix_norm(stack[take]) / weight[take])
+            assert (float(got).hex()
+                    == float(np.max(matrix_norm(stack) / weight)).hex())
+
+
+class TestPsdFlagsOf1x1:
+    def test_eigenvalue_read_off_the_entry_as_eigvalsh_gives_it(self):
+        values = np.array([np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0,
+                           1e300, -1e300, 5e-324, -3.5, 2.0, 1e-12])
+        stack = values[:, None, None]
+        # eigvalsh returns a 1x1 matrix's entry, to the bit
+        np.testing.assert_array_equal(
+            np.linalg.eigvalsh(stack)[:, 0].view(np.uint64),
+            values.view(np.uint64))
+        for tol in (TOL_PSD, np.geomspace(1e-12, 1.0, values.size)):
+            with np.errstate(invalid="ignore"):   # inf - inf in the symmetry
+                got = psd_flags(stack, tol)
+                expected = eigvalsh_psd_flags(stack, tol)
+            for a, b in zip(got, expected):
+                assert a.tobytes() == b.tobytes()
