@@ -59,28 +59,27 @@ UNBOUNDED = Unbounded()
 # Symmetric matrix helpers
 # ---------------------------------------------------------------------------
 
-def symmetric6(m, tol=TOL_SYM):
+def symmetric6(m):
     """Validate a 6x6 symmetric matrix, or a stack of them, and return it
     exactly symmetric.
 
     The result is rebuilt from the upper triangle, so symmetry holds to the
-    last bit.  Asymmetry beyond ``tol`` (relative to each matrix's scale) is
-    an error.  The returned array is read-only.
+    last bit.  Asymmetry beyond ``TOL_SYM`` (relative to each matrix's
+    scale) is an error.  The returned array is read-only.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim not in (2, 3) or a.shape[-2:] != (6, 6):
         raise InvalidKernel(f"expected a 6x6 matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise InvalidKernel("matrix entries must be finite")
-    if tol < np.inf:
-        scale = np.max(np.abs(a), axis=(-2, -1), initial=0.0)
-        mismatch = np.max(np.abs(a - np.swapaxes(a, -1, -2)),
-                          axis=(-2, -1), initial=0.0)
-        bad = np.flatnonzero(mismatch > tol * scale)
-        if bad.size:
-            raise InvalidKernel(
-                f"matrix asymmetry {mismatch.flat[bad[0]]:.3e} exceeds "
-                f"{tol:.1e} * scale")
+    scale = np.max(np.abs(a), axis=(-2, -1), initial=0.0)
+    mismatch = np.max(np.abs(a - np.swapaxes(a, -1, -2)),
+                      axis=(-2, -1), initial=0.0)
+    bad = np.flatnonzero(mismatch > TOL_SYM * scale)
+    if bad.size:
+        raise InvalidKernel(
+            f"matrix asymmetry {mismatch.flat[bad[0]]:.3e} exceeds "
+            f"{TOL_SYM:.1e} * scale")
     out = np.triu(a) + np.swapaxes(np.triu(a, 1), -1, -2)
     out.setflags(write=False)
     return out
@@ -139,25 +138,6 @@ def is_psd(m, tol=TOL_PSD):
 
 def is_pd(m, tol=TOL_PSD):
     return bool(psd_flags(np.asarray(m, dtype=float)[None], tol)[1][0])
-
-
-def psd_clip(m, spectrum=None):
-    """Clip negative eigenvalues to zero, for one matrix or a stack.
-
-    ``spectrum`` is ``np.linalg.eigh(m)`` when the caller has it already.
-    Returns ``(clipped, min_eig)`` where ``min_eig`` is the smallest
-    eigenvalue before clipping (one per matrix for a stack); the caller
-    decides whether it was tolerable.
-    """
-    m = np.asarray(m, dtype=float)
-    w, v = np.linalg.eigh(m) if spectrum is None else spectrum
-    low = w[..., 0]
-    negative = low < 0.0
-    if np.any(negative):
-        clipped = ((v * np.clip(w, 0.0, None)[..., None, :])
-                   @ np.swapaxes(v, -1, -2))
-        m = np.where(negative[..., None, None], clipped, m)
-    return symmetric6(m), (float(low) if low.ndim == 0 else low)
 
 
 def _frozen(a):

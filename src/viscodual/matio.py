@@ -29,6 +29,7 @@ class MaterialFormatError(ValueError):
 
 
 _UPPER_ROWS, _UPPER_COLS = np.triu_indices(6)
+_NUMBER_TYPES = {int, float}   # the types of JSON numbers; not bool
 # document kind -> names of the X and Y coefficients of its image
 _FIELDS = {"relaxation": ("dirac", "equilibrium"),
            "creep": ("instantaneous", "fluidity")}
@@ -53,14 +54,15 @@ def _as_matrix(value, name):
         raise MaterialFormatError(f"{name} must be a 6x6 array")
     flat = value
     if len(value) == 6 and all(isinstance(row, list) for row in value):
+        if set(map(len, value)) != {6}:
+            raise MaterialFormatError(f"{name} must have 6 numbers per row")
         flat = [x for row in value for x in row]
     if len(flat) != 36:
         raise MaterialFormatError(
             f"{name} must hold 36 numbers (row-major 6x6)")
-    try:
-        return np.array([float(x) for x in flat]).reshape(6, 6)
-    except (TypeError, ValueError):
-        raise MaterialFormatError(f"{name} must hold numbers") from None
+    if not set(map(type, flat)) <= _NUMBER_TYPES:
+        raise MaterialFormatError(f"{name} must hold numbers")
+    return np.array([float(x) for x in flat]).reshape(6, 6)
 
 
 def _coefficient(doc, key, matrix, default=0.0):

@@ -11,14 +11,17 @@ solves the secular equation ``U(-s) = 0`` by rational interpolation,
 safeguarded by the brackets that the interlacing of its roots with the
 rates sets, and reads the residues off ``1/U'(-s)``; the 6x6 path
 linearizes the same data into a symmetric pencil, solves it as one
-symmetric eigensolve, polishes the poles on ``U(-s)``, extracts residues
-through a nullspace formula and certifies the poles by an inertia count.
-Every matrix the 6x6 path decomposes (``X``, ``Y``, the ``Z_k`` and
-``U(-s)``) is symmetric, so each stack of them takes one batched symmetric
-eigensolve, whose eigenvalues also give their spectral norms; no step takes
-an SVD.  Per pole that is one ``eigh`` of ``U(-s)`` per Newton pass of the
-polish, whose last eigenpairs also give the nullspace; a residue's
-spectrum comes from its small core ``B' U' B`` (:func:`_nullspace_residues`).
+symmetric eigensolve, polishes every candidate pole on ``U(-s)`` until it
+converges or stops moving, extracts residues through a nullspace formula
+and certifies the poles by an inertia count.  Every matrix the 6x6 path
+decomposes (``X``, ``Y``, the ``Z_k`` and ``U(-s)``) is symmetric, so each
+stack of them takes one batched symmetric eigensolve, whose eigenvalues
+also give their spectral norms; no step takes an SVD.  Per pole that is
+one ``eigh`` of ``U(-s)`` per Newton pass of the polish, whose last
+eigenpairs give every nullspace; a residue's spectrum comes from its small
+core ``B' U' B`` (:func:`_nullspace_residues`), or, for a light mode whose
+poles sit on its rate, from ``B'B`` for the Gram factor ``B`` of its
+residue ``B B'``.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .kernels import (
     TOL_PSD,
     cbf_as_rational,  # noqa: F401  (re-exported: the map lives in kernels)
     eig_norm,
-    psd_clip,
     square_image,
 )
 
@@ -46,6 +48,7 @@ ROOT_NEAR_RATE = 1e-5       # roots nearer a rate than this times its gaps are
                             # solved about the rate (_about_rates)
 TOL_CLUSTER = 1e-8          # relative gap for grouping refined repeated roots
 TOL_POLISH = 1e-12          # a Newton step this small (relative) ends the polish
+POLISH_PASSES = 8           # Newton passes after which the polish stops anyway
 TOL_NULLSPACE = 1e-8        # |eigenvalues| below this (relative) span the nullspace
 TOL_ZERO_POLE = 1e-9        # poles below this times the slowest rate count as at zero
 TOL_ZERO_POLE_NO_MODES = 1e-12  # without modes, the same relative to Y on the
@@ -379,9 +382,8 @@ class CbfImage:
     def null_factor(self):
         """``G = L^-1 Q0'``, ``L L' = Q0'(Y + sum Z)Q0`` (``Q0 = dirac_null``,
         (*) makes it definite): ``G'G`` is ``U(p)^-1`` at ``p -> inf``."""
-        q0 = self.dirac_null
-        block = q0.T @ (self.constant + self.weights.sum(axis=0)) @ q0
-        return np.linalg.solve(np.linalg.cholesky(block), q0.T)
+        return _null_factor(self.dirac_null,
+                            self.constant + self.weights.sum(axis=0))
 
     def _mode_sum(self, factors):
         """``sum_k factors[..., k] Z_k``."""
@@ -456,6 +458,12 @@ class CbfImage:
                 / self.norms[0])
 
 
+def _null_factor(q0, total):
+    """``L^-1 Q0'`` with ``L L'`` the Cholesky factorization of
+    ``Q0' total Q0``."""
+    return np.linalg.solve(np.linalg.cholesky(q0.T @ total @ q0), q0.T)
+
+
 def cbf_image(kernel):
     """The image ``U`` of a 6x6 kernel, with its weights as ``(K, 6, 6)``."""
     return CbfImage(*square_image(kernel))
@@ -482,33 +490,38 @@ def image_pencil_roots(image):
     :attr:`CbfImage.zero_pole_floor` are splinters of the zero eigenvalue
     of a singular ``Y`` and are dropped.  All candidates are polished
     together (see :func:`_refine_roots`), then each cluster is confirmed
-    against ``U(-s)`` itself, with the nullspace test of :func:`_near_null`:
-    on the polish's last ``eigh`` at its first member where every member
-    converged, which is almost every cluster, and on one batched ``eigh``
-    at the means of the others (:func:`_image_nullspace`).  A cluster where
+    against ``U(-s)`` itself, with the nullspace test of :func:`_near_null`
+    on the polish's last ``eigh`` at its first member.  A cluster where
     ``U(-s)`` stays regular is a pencil artifact, not a pole of the
     inverse, and is dropped, and so is one whose mean is a rate, where
-    ``U(-s)`` is not defined (the pole-count certificate of
-    :func:`decompose_inverse` tells whether it was a pole).  Genuine
-    poles may lie arbitrarily close to the source rates when a mode weight
-    is nearly singular, so no distance-to-rate filtering is applied.  The
+    ``U(-s)`` is not defined, or whose first member is one (the pole-count
+    certificate of :func:`decompose_inverse` tells whether it was a pole).
+    A nullspace thinner than its cluster but nonempty is accepted: the
+    surplus members are artifacts that polished onto a genuine root, and
+    the nullspace width is authoritative (``U'`` is positive semidefinite
+    on the negative axis, so true poles are semisimple).  Genuine poles
+    may lie arbitrarily close to the source rates when a mode weight is
+    nearly singular, so no distance-to-rate filtering is applied.  The
     modes of :attr:`CbfImage.rate_bound` stay out of the pencil (their
-    poles are their rates) and in every test of ``U(-s)``.
+    poles are their rates): it takes the other modes' columns of the
+    weight factors, and the Cholesky factor of its Schur block over those
+    modes only; every test of ``U(-s)`` uses all of ``U``.
     """
-    lone = image.rate_bound
-    source = image if not lone.any() else CbfImage(
-        image.dirac, image.constant, image.rates[~lone], image.weights[~lone])
-    factor, ranks = source.weight_factors
-    block_rates = np.repeat(source.rates, ranks)
+    keep = ~image.rate_bound
+    factor, ranks = image.weight_factors
+    factor = factor[:, np.repeat(keep, ranks)]
+    block_rates = np.repeat(image.rates[keep], ranks[keep])
     block = factor * np.sqrt(block_rates)
 
     # The pencil matrix on (a, w): ``rows`` are its v rows, whose Q1 and Q0
     # parts are its a and b rows; the null factor eliminates the b rows.
     q1 = image.dirac_range
-    base = image.constant + source.weights.sum(axis=0)
+    base = image.constant + image.weights[keep].sum(axis=0)
     rows = np.hstack([base @ q1, -block])
     reduced = np.block([[q1.T @ rows], [-block.T @ q1, np.diag(block_rates)]])
-    coupling = source.null_factor @ rows
+    null = (image.null_factor if keep.all()
+            else _null_factor(image.dirac_null, base))
+    coupling = null @ rows
     reduced -= coupling.T @ coupling
     root = 1.0 / np.sqrt(np.append(image.dirac_eigs, np.ones(block_rates.size)))
     eigvals = np.linalg.eigvalsh(root[:, None] * reduced * root)
@@ -528,20 +541,13 @@ def image_pencil_roots(image):
     means = np.add.reduceat(candidates, starts) / sizes
 
     # U(-s) is not defined on a rate: a cluster whose mean is one is left
-    # out, and the pole-count certificate tells if it was a pole
-    settled = np.logical_and.reduceat(polish.converged[order], starts)
-    keep = ~image.on_rate(means)
-    means, first, settled = means[keep], order[starts[keep]], settled[keep]
-
-    # a cluster whose members all converged takes its nullspace from the
-    # polish's last eigh at its first member; the others take one eigh at
-    # their means
+    # out, and the pole-count certificate tells if it was a pole; each
+    # other cluster takes its nullspace from the polish's last eigh at its
+    # first member
+    on_rate = image.on_rate(means)
+    means, first = means[~on_rate], order[starts[~on_rate]]
     w, v = polish.spectra
     bases = _near_null(image, polish.at[first], (w[first], v[first]))
-    redo = np.flatnonzero(~settled)
-    if redo.size:
-        for i, basis in zip(redo, _image_nullspace(image, means[redo])):
-            bases[i] = basis
 
     # an empty nullspace marks a regular point of U: a spurious pencil
     # eigenvalue, not a pole
@@ -555,7 +561,6 @@ class Polish(NamedTuple):
     roots: np.ndarray       # the polished points s
     at: np.ndarray          # where the last eigh of U(-s) was taken
     spectra: tuple          # that eigh, (w, v) as (n, 6) and (n, 6, 6)
-    converged: np.ndarray   # the last step was at most TOL_POLISH times s
 
 
 def _refine_roots(image, s):
@@ -567,22 +572,23 @@ def _refine_roots(image, s):
     and its vectors, up to the sign of ``lambda``, which cancels in the
     step.)  This converges quadratically even on semisimple multiple
     eigenvalues, where plain Newton on the determinant stalls.  Each
-    iteration is one batched ``eigh`` of the ``(n, 6, 6)`` stack of
-    ``U(-s_i)``; a candidate stops after three steps, at a zero slope,
-    before a step longer than a tenth of itself, or after a step of at most
-    ``TOL_POLISH`` times itself, which counts as converged.  ``U(-s)`` is
-    never evaluated on a rate, where it is not defined: a candidate there
-    stays as it is, unconverged, and a step onto a rate is not taken.
-    Returns a :class:`Polish` that keeps each candidate's last eigenpairs,
-    from which :func:`image_pencil_roots` reads the nullspaces of the
-    converged ones.
+    iteration is one batched ``eigh`` of the ``(n, 6, 6)`` stack of the
+    ``U(-s_i)`` still moving.  A candidate stops after a step of at most
+    ``TOL_POLISH`` times itself, which almost every candidate takes on its
+    first pass; at a zero slope; before a step longer than a tenth of
+    itself; or after ``POLISH_PASSES`` passes (a slow pole of a wide
+    spectrum, started off by the pencil's rounding, can need five or
+    more).  ``U(-s)`` is never evaluated on a rate, where it is not
+    defined: a candidate there stays as it is, with infinite eigenvalues
+    (so no nullspace), and a step onto a rate is not taken.  Returns a
+    :class:`Polish` that keeps each candidate's last eigenpairs, from which
+    :func:`image_pencil_roots` reads the nullspaces.
     """
     s = np.array(s, dtype=float)
     at = s.copy()
-    w, v = np.zeros((s.size, 6)), np.zeros((s.size, 6, 6))
-    converged = np.zeros(s.size, dtype=bool)
+    w, v = np.full((s.size, 6), np.inf), np.zeros((s.size, 6, 6))
     active = np.flatnonzero(~image.on_rate(s))
-    for _ in range(3):
+    for _ in range(POLISH_PASSES):
         if not active.size:
             break
         x = -s[active]
@@ -601,10 +607,9 @@ def _refine_roots(image, s):
         moved = s[active] - step
         moving &= (size <= 0.1 * s[active]) & ~image.on_rate(moved)
         done = size <= TOL_POLISH * s[active]
-        converged[active] = done
         s[active[moving]] = moved[moving]
         active = active[moving & ~done]
-    return Polish(s, at, (w, v), converged)
+    return Polish(s, at, (w, v))
 
 
 def _near_null(image, s, spectra):
@@ -614,21 +619,6 @@ def _near_null(image, s, spectra):
     w, v = spectra
     null = np.abs(w) <= TOL_NULLSPACE * image.magnitude(s)[:, None]
     return [vectors[:, keep] for vectors, keep in zip(v, null)]
-
-
-def _image_nullspace(image, s):
-    """Orthonormal near-nullspaces of ``U(-s_i)``, one basis per point.
-
-    One batched ``eigh`` covers every point, and :func:`_near_null` keeps
-    the basis.  An empty basis means ``-s_i`` is a regular point and the
-    eigenvalue cluster there is a pencil artifact.  A nullspace thinner than the cluster but nonempty is
-    accepted: the surplus members are artifacts that happened to polish
-    onto a genuine root, and the nullspace dimension is authoritative
-    (``U'`` is positive semidefinite on the negative axis, so true poles
-    are always semisimple).
-    """
-    s = np.asarray(s, dtype=float)
-    return _near_null(image, s, np.linalg.eigh(image(-s)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -718,8 +708,11 @@ def decompose_inverse(image):
     indefinite beyond ``1e-6`` of it raises, and the rest of the negative
     part, rounding, is left out.  Every pole keeps its residue: each is a
     pole of ``U^-1`` however light.  The poles of a mode of
-    :attr:`CbfImage.rate_bound` are one, on its rate, with the residue of
-    :func:`_rest_at_rates`, PSD-clipped through its own ``eigh``.
+    :attr:`CbfImage.rate_bound` are one, on its rate, with the residue
+    ``t_k G_k^-1 Z_k G_k^-1`` (:func:`_rest_at_rates`), formed as ``B B'``
+    with ``B = sqrt(t_k) G_k^-1 F_k`` and ``F_k`` the mode's weight factor:
+    PSD by construction, with least eigenvalue 0 and the norm of the top
+    eigenvalue of ``B'B``.
     """
     eigs = image_pencil_roots(image)
 
@@ -733,10 +726,10 @@ def decompose_inverse(image):
 
     # the pencil's poles, then those of the rate-bound modes, on their rates
     lone = np.flatnonzero(image.rate_bound)
+    columns, ranks = image.weight_factors
     bases = [basis for _, basis in eigs]
     poles = np.array([s for s, _ in eigs] + image.rates[lone].tolist())
-    widths = np.append([b.shape[1] for b in bases],
-                       image.weight_factors[1][lone]).astype(int)
+    widths = np.append([b.shape[1] for b in bases], ranks[lone]).astype(int)
     order = np.argsort(poles, kind="stable")
     _certify_pole_count(image, poles[order], widths[order], null_y.shape[1])
     raw, low, norms = _nullspace_residues(
@@ -746,13 +739,13 @@ def decompose_inverse(image):
     if lone.size:
         inverse = np.linalg.inv(_rest_at_rates(
             image.dirac, image.constant, image.rates, image.weights, lone))
-        lumped = image.rates[lone, None, None] * (
-            inverse @ image.weights[lone] @ inverse)
-        spectrum = np.linalg.eigh(lumped)
-        lumped, lumped_low = psd_clip(lumped, spectrum)
-        raw, poles = np.concatenate([raw, lumped])[order], poles[order]
-        low = np.append(low, lumped_low)
-        norms = np.append(norms, eig_norm(spectrum[0]))
+        factors = np.split(columns, np.cumsum(ranks)[:-1], axis=1)
+        lumped = [np.sqrt(image.rates[k]) * g @ factors[k]
+                  for k, g in zip(lone, inverse)]
+        raw = np.concatenate([raw, [b @ b.T for b in lumped]])[order]
+        poles = poles[order]
+        norms = np.append(norms, [np.linalg.eigvalsh(b.T @ b)[-1]
+                                  for b in lumped])
 
     factor = image.null_factor
     constant = factor.T @ factor

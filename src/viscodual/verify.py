@@ -278,19 +278,19 @@ def convolution_value(relaxation, creep, t):
     return float(value[0, 0]) if value.shape == (1, 1) else value
 
 
-def default_time_grid(relaxation, creep, count=33):
+def default_time_grid(relaxation, creep):
     """Log-spaced times from ``1e-3/r_max`` to ``1e3/r_min``.
 
     ``r_min`` is the slowest rate of either kernel, so the grid reaches
     past the decay of every mode; ``r_max`` is as in :func:`max_rate`.
-    The grid has ``GRID_STEPS_PER_DECADE`` steps per decade and at least
-    ``count`` points.
+    The grid has ``GRID_STEPS_PER_DECADE`` steps per decade, so at least
+    33 points over its at least six decades.
     """
     rmax = max(max_rate(relaxation), max_rate(creep))
     rmin = min((r for k in (relaxation, creep) for r, _ in k.modes),
                default=rmax)
     decades = 6.0 + np.log10(rmax / rmin)
-    points = max(count, int(np.ceil(GRID_STEPS_PER_DECADE * decades)) + 1)
+    points = int(np.ceil(GRID_STEPS_PER_DECADE * decades)) + 1
     return np.geomspace(1e-3 / rmax, 1e3 / rmin, points)
 
 

@@ -18,7 +18,7 @@ from viscodual import (
     symmetric6,
 )
 from viscodual.kernels import (
-    is_pd, is_psd, matrix_norm, max_rate, psd_clip, psd_flags)
+    is_pd, is_psd, matrix_norm, max_rate, psd_flags)
 
 from kernel_corpus import random_gram
 
@@ -146,12 +146,6 @@ class TestPsdHelpers:
         psd, pd, norms = psd_flags(np.array([skew, np.zeros((6, 6))]))
         assert psd.tolist() == [False, True] and not pd.any()
         assert norms.tolist() == [0.0, 0.0]
-
-    def test_psd_clip_removes_negative_part(self):
-        m = symmetric6(np.diag([1.0, 1, 1, 1, 1, -1e-12]))
-        clipped, low = psd_clip(m)
-        assert low == pytest.approx(-1e-12)
-        assert np.linalg.eigvalsh(clipped)[0] >= 0.0
 
 
 class TestEvaluation:

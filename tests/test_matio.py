@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from viscodual import (
     sample_to_csv,
     serialize_material,
 )
+from viscodual.cli import run
 
 from kernel_corpus import (
     random_matrix_creep,
@@ -82,6 +85,23 @@ class TestParse:
         with pytest.raises(MaterialFormatError):
             parse_material('{"kind": "creep", "dimension": "matrix6",'
                            ' "instantaneous": [1.0, 2.0]}')
+
+    @pytest.mark.parametrize("case", ["ragged", "boolean"])
+    def test_matrix_rows_of_six_numbers(self, case, tmp_path):
+        # rows of 5, 7, 6, 6, 6 and 6 numbers hold 36 in all, and a JSON
+        # boolean is no number: neither is a 6x6 matrix
+        rows = [[float(i == j) for j in range(6)] for i in range(6)]
+        if case == "ragged":
+            rows[1].insert(0, rows[0].pop())
+        else:
+            rows[2][2] = True
+        text = json.dumps({"kind": "relaxation", "dimension": "matrix6",
+                           "equilibrium": rows, "modes": []})
+        with pytest.raises(MaterialFormatError, match="equilibrium"):
+            parse_material(text)
+        path = tmp_path / "kernel.json"
+        path.write_text(text)
+        assert run(["check", str(path)]) == 1
 
     def test_near_coincident_rates_warn(self):
         text = ('{"kind": "relaxation", "dimension": "scalar",'
