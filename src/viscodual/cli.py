@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .duality import dualize
+from .duality import _DUAL_KINDS, dualize
 from .kernels import (
     EigenstressBasis,
     InvalidKernel,
@@ -26,6 +26,8 @@ from .kernels import (
 )
 from .matio import (
     MaterialFormatError,
+    _as_matrix,
+    _as_number,
     csv_rows,
     parse_material,
     sample_to_csv,
@@ -124,7 +126,9 @@ def _cmd_check(args):
     entries = list(check_wellformed(kernel).entries)
     if args.against:
         other = parse_material(_read(args.against))
-        relax, creep = _orient_pair(kernel, other)
+        if type(other) is not _DUAL_KINDS[type(kernel)]:
+            raise InvalidKernel("not a relaxation-creep pair of one size")
+        relax, creep = (kernel, other) if kernel.relaxation else (other, kernel)
         entries += list(check_wellformed(other).entries)
         scalar = np.ndim(relax.newtonian) == 0
         tol = args.tol if args.tol is not None else (1e-9 if scalar else 1e-7)
@@ -142,13 +146,6 @@ def _cmd_check(args):
             print(f"{status} {e.name} residual={e.residual:.3e} "
                   f"tol={e.tolerance:.1e}")
     return 0 if report.ok else 1
-
-
-def _orient_pair(first, second):
-    if first.relaxation != second.relaxation:
-        return (first, second) if first.relaxation else (second, first)
-    raise InvalidKernel(
-        "a dual pair needs one relaxation and one creep kernel")
 
 
 def _cmd_sample(args):
@@ -189,13 +186,22 @@ def _parse_history(text):
                        for p in points)):
         raise MaterialFormatError("history needs a nonempty breakpoints "
                                   "list of objects with 't' and 'value'")
+    jump = doc.get("initial_jump")
     try:
-        history = StrainHistory(tuple(p["t"] for p in points),
-                                tuple(p["value"] for p in points),
-                                initial_jump=doc.get("initial_jump"))
+        history = StrainHistory(
+            tuple(_as_number(p["t"], "breakpoint time") for p in points),
+            tuple(_numbers(p["value"], "breakpoint value") for p in points),
+            initial_jump=None if jump is None else _numbers(jump, "jump"))
     except (TypeError, ValueError) as exc:
         raise MaterialFormatError(str(exc)) from None
     return kind, history
+
+
+def _numbers(value, name):
+    """A JSON number, or nested lists of them, read by ``matio._as_number``."""
+    if isinstance(value, list):
+        return [_numbers(x, name) for x in value]
+    return _as_number(value, name)
 
 
 def _cmd_respond(args):
@@ -231,18 +237,18 @@ def _cmd_respond(args):
 def _cmd_eigenstress(args):
     doc = json.loads(_read(args.input))
     try:
-        vectors = doc["vectors"]
-        spectra = [[(m["rate"], m["coefficient"]) for m in spectrum]
-                   for spectrum in doc["spectra"]]
-        mass = float(doc.get("mass", 1.0))
+        vectors = _numbers(doc["vectors"], "vector")
+        spectra = [[_numbers([m["rate"], m["coefficient"]], "spectrum")
+                    for m in spectrum] for spectrum in doc["spectra"]]
+        basis = EigenstressBasis(tuple(map(tuple, vectors)),
+                                 tuple(map(tuple, spectra)),
+                                 mass=_as_number(doc.get("mass", 1.0), "mass"))
     except (KeyError, TypeError) as exc:
         raise MaterialFormatError(
             f"bad eigenstress document field: {exc}") from None
-    basis = EigenstressBasis(tuple(map(tuple, vectors)),
-                             tuple(map(tuple, spectra)), mass=mass)
     equilibrium = doc.get("equilibrium")
     if equilibrium is not None:
-        equilibrium = np.asarray(equilibrium, dtype=float).reshape(6, 6)
+        equilibrium = _as_matrix(equilibrium, "equilibrium")
     kernel = assemble_eigenstress(basis, equilibrium)
     _write(serialize_material(kernel), args.output)
     return 0

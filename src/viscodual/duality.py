@@ -54,31 +54,30 @@ def dualize(kernel):
     never square to overflow or underflow however large or small the
     weights.
 
-    A 6x6 kernel requires ``X + Y + sum Z_k`` positive definite: condition
-    (*) on relaxation data, (**) on creep data.  In the discrete class this
-    is equivalent to no direction having an identically vanishing kernel
-    projection, that is, to every direction having a constitutive response
-    at some time scale.  Its parts come from :func:`decompose_inverse`.
+    A 6x6 kernel requires condition (*) on relaxation data, (**) on creep
+    data: every direction has a constitutive response at some time scale.
+    Its image (:func:`cbf_image`, built once) decides it free of the time
+    unit (:attr:`CbfImage.definite`), and :func:`decompose_inverse` of that
+    image gives the parts.
     """
     dual_kind = _DUAL_KINDS.get(type(kernel))
     if dual_kind is None:
         raise TypeError(f"not a kernel: {type(kernel).__name__}")
+    if dual_kind in (MatrixRelaxation, MatrixCreep):
+        image = cbf_image(kernel)
+        if not image.definite:
+            raise InvalidKernel(
+                "condition (*) fails: N + B + sum G_k is not positive definite"
+                if kernel.relaxation else "condition (**) fails: "
+                "A + D + sum H_j is not positive definite")
+        parts = decompose_inverse(image)
+        return dual_kind.make(parts.constant, parts.zero_mass, parts.modes)
     X, Y, rates, weights = cbf_as_rational(kernel)
-    if X.ndim == 0:
-        x, y = float(X), float(Y)
-        unit = math.ldexp(1.0, -math.frexp(
-            x * max_rate(kernel) + y + sum(weights.tolist()))[1])
-        image = x * unit, y * unit, rates, weights * unit
-        roots = interlaced_roots(*image)
-        constant, zero_mass, masses = stieltjes_partial_fractions(*image,
-                                                                  roots)
-        return dual_kind.make(constant * unit, zero_mass * unit,
-                              list(zip(roots.tolist(),
-                                       (masses * unit).tolist())))
-    if not kernel.satisfies_positivity():
-        raise InvalidKernel(
-            "condition (*) fails: N + B + sum G_k is not positive definite"
-            if kernel.relaxation else
-            "condition (**) fails: A + D + sum H_j is not positive definite")
-    parts = decompose_inverse(cbf_image(kernel))
-    return dual_kind.make(parts.constant, parts.zero_mass, parts.modes)
+    x, y = float(X), float(Y)
+    unit = math.ldexp(1.0, -math.frexp(
+        x * max_rate(kernel) + y + sum(weights.tolist()))[1])
+    image = x * unit, y * unit, rates, weights * unit
+    roots = interlaced_roots(*image)
+    constant, zero_mass, masses = stieltjes_partial_fractions(*image, roots)
+    return dual_kind.make(constant * unit, zero_mass * unit,
+                          list(zip(roots.tolist(), (masses * unit).tolist())))

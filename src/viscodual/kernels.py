@@ -8,10 +8,11 @@ convention (indices 11, 22, 33, 23, 31, 12 with sqrt(2)-scaled shears).
 
 Every kernel maps to the coefficients ``(X, Y, modes)`` of its complete
 Bernstein image (:func:`stored_image`; as arrays, :func:`cbf_as_rational`
-and :func:`square_image`).  The Laplace images, limits and positivity
-condition are written once on those arrays, with a scalar kernel as the
-``1 x 1`` case, and the time-domain values and their integrals once on
-the stored coefficients, floats or 6x6 arrays (:func:`time_values`).
+and :func:`square_image`).  The Laplace images and limits are written
+once on those arrays, with a scalar kernel as the ``1 x 1`` case, and the
+time-domain values and their integrals once on the stored coefficients,
+floats or 6x6 arrays (:func:`time_values`).  Condition (*) of a 6x6
+kernel is decided on its image (``rational.CbfImage.definite``).
 
 All kernel objects are immutable after construction and every function in
 this module is pure.
@@ -107,7 +108,9 @@ def eig_norm(w):
 
 def psd_flags(stack, tol=TOL_PSD):
     """Semidefiniteness and definiteness of every matrix of a ``(n, d, d)``
-    stack: the one predicate behind every such test in the package.
+    stack: the one predicate behind every such test in the package but
+    condition (*), whose bound is not relative to the block it tests
+    (``rational.CbfImage.definite``).
 
     A matrix is positive semidefinite when it is symmetric within
     ``TOL_PSD`` and no eigenvalue is below ``-tol``; it is positive
@@ -134,10 +137,6 @@ def psd_flags(stack, tol=TOL_PSD):
 
 def is_psd(m, tol=TOL_PSD):
     return bool(psd_flags(np.asarray(m, dtype=float)[None], tol)[0][0])
-
-
-def is_pd(m, tol=TOL_PSD):
-    return bool(psd_flags(np.asarray(m, dtype=float)[None], tol)[1][0])
 
 
 def _frozen(a):
@@ -242,22 +241,8 @@ def _matrix_parts(first, second, names, modes, kind):
 # Kernel classes
 # ---------------------------------------------------------------------------
 
-class _Kernel:
-    """What the four kernel classes share, computed from their image.
-
-    ``relaxation`` tells a relaxation kernel from a creep kernel.
-    """
-
-    def satisfies_positivity(self):
-        """Condition (*) on relaxation data (``N + B + sum G_k``), (**) on
-        creep data (``A + D + sum H_j``): ``X + Y + sum Z_k`` positive
-        definite."""
-        X, Y, _, weights = square_image(self)
-        return is_pd(X + Y + weights.sum(axis=0))
-
-
 @dataclass(frozen=True)
-class ScalarRelaxation(_Kernel):
+class ScalarRelaxation:
     """``f(t) = newtonian*u(t) + equilibrium + sum m_k exp(-r_k t)``.
 
     ``modes`` holds ``(rate, weight)`` pairs sorted by rate.  Use
@@ -277,7 +262,7 @@ class ScalarRelaxation(_Kernel):
 
 
 @dataclass(frozen=True)
-class ScalarCreep(_Kernel):
+class ScalarCreep:
     """``h(t) = instantaneous + fluidity*t + sum (nu_j/s_j)(1-exp(-s_j t))``.
 
     ``modes`` holds ``(rate, mass)`` pairs sorted by rate.
@@ -296,7 +281,7 @@ class ScalarCreep(_Kernel):
 
 
 @dataclass(frozen=True, eq=False)
-class MatrixRelaxation(_Kernel):
+class MatrixRelaxation:
     """``R(t) = u(t) N + B + sum G_k exp(-r_k t)`` with PSD 6x6 coefficients."""
 
     newtonian: np.ndarray
@@ -312,7 +297,7 @@ class MatrixRelaxation(_Kernel):
 
 
 @dataclass(frozen=True, eq=False)
-class MatrixCreep(_Kernel):
+class MatrixCreep:
     """``C(t) = A + t D + sum (H_j/s_j)(1 - exp(-s_j t))``, PSD coefficients."""
 
     instantaneous: np.ndarray

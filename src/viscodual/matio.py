@@ -43,10 +43,18 @@ _CLASSES = {("relaxation", "scalar"): ScalarRelaxation,
 # Parsing
 # ---------------------------------------------------------------------------
 
+def _floats(numbers, name):
+    """JSON numbers as floats; an integer past the float range is an error."""
+    try:
+        return [float(x) for x in numbers]
+    except OverflowError:
+        raise MaterialFormatError(f"{name} is beyond the float range") from None
+
+
 def _as_number(value, name):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise MaterialFormatError(f"{name} must be a number")
-    return float(value)
+    return _floats([value], name)[0]
 
 
 def _as_matrix(value, name):
@@ -62,7 +70,7 @@ def _as_matrix(value, name):
             f"{name} must hold 36 numbers (row-major 6x6)")
     if not set(map(type, flat)) <= _NUMBER_TYPES:
         raise MaterialFormatError(f"{name} must hold numbers")
-    return np.array([float(x) for x in flat]).reshape(6, 6)
+    return np.array(_floats(flat, name)).reshape(6, 6)
 
 
 def _coefficient(doc, key, matrix, default=0.0):

@@ -315,19 +315,6 @@ def stieltjes_partial_fractions(X, Y, rates, weights, roots):
 # ---------------------------------------------------------------------------
 # 6x6 images and their structured linearization
 # ---------------------------------------------------------------------------
-#
-# Both conversion directions reduce to the same problem.  For a relaxation
-# kernel, U(p) = p*Rtilde(p) = p N + B + sum G_k p/(p+r_k); for a creep
-# kernel, U(p) = p^2*Ctilde(p) = p A + D + sum H_j p/(p+s_j).  In either
-# case U(p)^-1 is a matrix Stieltjes function
-#
-#     U(p)^-1 = constant + zero_mass/p + sum_k W_k/(p + rho_k)
-#
-# whose pieces are exactly the dual kernel's coefficients.  The poles are
-# found from a symmetric linear pencil assembled from low-rank factors of
-# the mode weights; everything is evaluated in the original rational form,
-# never through expanded monomial coefficients, so wide rate spreads stay
-# well conditioned.
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,8 +327,8 @@ class CbfImage:
     spectral norms of the data (the largest ``|eigenvalue|`` of each), and
     the split of ``X``: ``dirac_eigs`` above ``TOL_PSD`` times its norm,
     their eigenvectors ``dirac_range``, and ``dirac_null`` spanning the
-    rest.  The factors a conversion needs are computed on first use, the
-    weight factors from the same eigenpairs.
+    rest.  The factors a conversion needs and condition (*) (:attr:`definite`)
+    are computed on first use, the weight factors from the same eigenpairs.
     ``U``, ``U'`` and :meth:`magnitude` are array expressions over the
     modes; they take a scalar or a vector of points, and a vector of ``n``
     points gives an ``(n, 6, 6)`` stack (``(n,)`` for the magnitude).
@@ -379,11 +366,26 @@ class CbfImage:
                 keep.sum(axis=1))
 
     @cached_property
+    def null_block(self):
+        """``Q0'(Y + sum Z)Q0``, ``Q0 = dirac_null``: the rows without ``p``."""
+        q0 = self.dirac_null
+        return q0.T @ (self.constant + self.weights.sum(axis=0)) @ q0
+
+    @cached_property
+    def definite(self):
+        """Condition (*) ((**) on creep data): :attr:`null_block` empty, or
+        its least eigenvalue above ``TOL_PSD (|Y| + sum |Z_k|)``, both in
+        the units of ``Y`` whatever the time unit, and above the rounding
+        left in a direction that ``Y`` and every ``Z_k`` miss."""
+        block = self.null_block
+        bound = 2 * TOL_PSD * (self.norms[1] + self.norms[2:].sum())
+        return not block.size or np.linalg.eigvalsh(block + block.T)[0] > bound
+
+    @cached_property
     def null_factor(self):
-        """``G = L^-1 Q0'``, ``L L' = Q0'(Y + sum Z)Q0`` (``Q0 = dirac_null``,
-        (*) makes it definite): ``G'G`` is ``U(p)^-1`` at ``p -> inf``."""
-        return _null_factor(self.dirac_null,
-                            self.constant + self.weights.sum(axis=0))
+        """``G = L^-1 Q0'``, ``L L'`` = :attr:`null_block`, definite under
+        (*): ``G'G`` is ``U(p)^-1`` at ``p -> inf``."""
+        return _null_factor(self.dirac_null, self.null_block)
 
     def _mode_sum(self, factors):
         """``sum_k factors[..., k] Z_k``."""
@@ -458,10 +460,9 @@ class CbfImage:
                 / self.norms[0])
 
 
-def _null_factor(q0, total):
-    """``L^-1 Q0'`` with ``L L'`` the Cholesky factorization of
-    ``Q0' total Q0``."""
-    return np.linalg.solve(np.linalg.cholesky(q0.T @ total @ q0), q0.T)
+def _null_factor(q0, block):
+    """``L^-1 Q0'`` with ``L L'`` the Cholesky factorization of ``block``."""
+    return np.linalg.solve(np.linalg.cholesky(block), q0.T)
 
 
 def cbf_image(kernel):
@@ -519,8 +520,9 @@ def image_pencil_roots(image):
     base = image.constant + image.weights[keep].sum(axis=0)
     rows = np.hstack([base @ q1, -block])
     reduced = np.block([[q1.T @ rows], [-block.T @ q1, np.diag(block_rates)]])
+    q0 = image.dirac_null
     null = (image.null_factor if keep.all()
-            else _null_factor(image.dirac_null, base))
+            else _null_factor(q0, q0.T @ base @ q0))
     coupling = null @ rows
     reduced -= coupling.T @ coupling
     root = 1.0 / np.sqrt(np.append(image.dirac_eigs, np.ones(block_rates.size)))
@@ -672,7 +674,7 @@ def _least_weight_eig(low, scale):
         raise NumericsError(
             f"residue matrix indefinite beyond tolerance "
             f"(eigmin {low[bad[0]]:.3e}, scale {scale:.3e})")
-    return float(np.min(low, initial=0.0)) / scale
+    return float(np.min(low, initial=0.0)) / scale if scale else 0.0
 
 
 def _certify_pole_count(image, poles, widths, zero_width):
@@ -702,17 +704,17 @@ def decompose_inverse(image):
     weights from the nullspace residue formula, with ``U'`` at every pole
     evaluated as one stack, after :func:`_certify_pole_count` has passed;
     the constant is ``G'G`` (:attr:`CbfImage.null_factor`), PSD and in the
-    nullspace of ``X`` by construction, with norm ``|G|^2``.  The zero mass
-    and the residues share :func:`_nullspace_residues`, whose small cores
-    give their spectra: their norms set the decomposition scale, a residue
-    indefinite beyond ``1e-6`` of it raises, and the rest of the negative
-    part, rounding, is left out.  Every pole keeps its residue: each is a
-    pole of ``U^-1`` however light.  The poles of a mode of
-    :attr:`CbfImage.rate_bound` are one, on its rate, with the residue
-    ``t_k G_k^-1 Z_k G_k^-1`` (:func:`_rest_at_rates`), formed as ``B B'``
-    with ``B = sqrt(t_k) G_k^-1 F_k`` and ``F_k`` the mode's weight factor:
-    PSD by construction, with least eigenvalue 0 and the norm of the top
-    eigenvalue of ``B'B``.
+    nullspace of ``X`` by construction.  The zero mass and the residues
+    share :func:`_nullspace_residues`, whose small cores give their spectra:
+    their norms (``U^-1`` times a rate, unlike the constant) set the
+    decomposition scale, a residue indefinite beyond ``1e-6`` of it raises,
+    and the rest of the negative part, rounding, is left out.  Every pole
+    keeps its residue: each is a pole of ``U^-1`` however light.  The poles
+    of a mode of :attr:`CbfImage.rate_bound` are one, on its rate, with the
+    residue ``t_k G_k^-1 Z_k G_k^-1`` (:func:`_rest_at_rates`), formed as
+    ``B B'`` with ``B = sqrt(t_k) G_k^-1 F_k`` and ``F_k`` the mode's weight
+    factor: PSD by construction, with least eigenvalue 0 and the norm of the
+    top eigenvalue of ``B'B``.
     """
     eigs = image_pencil_roots(image)
 
@@ -749,8 +751,6 @@ def decompose_inverse(image):
 
     factor = image.null_factor
     constant = factor.T @ factor
-    if factor.size:   # |G'G| = |G|^2, the top eigenvalue of G G'
-        norms = np.append(norms, np.linalg.eigvalsh(factor @ factor.T)[-1])
     worst = _least_weight_eig(low, float(norms.max()))
     return MatrixStieltjesParts(constant, zero_mass,
                                 tuple(zip(poles.tolist(), raw)), worst)

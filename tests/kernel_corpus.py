@@ -4,7 +4,8 @@ shared by tests.
 Rates are drawn with log-spaced gaps so that the overall spread stays
 within three decades; weights are O(1).  Matrix weights are random Gram
 matrices with mixed ranks, and the generators keep resampling until the
-total coefficient sum is positive definite (the conversion hypothesis).
+kernel satisfies condition (*), the conversion hypothesis
+(``CbfImage.definite``).
 """
 
 import numpy as np
@@ -18,7 +19,7 @@ from viscodual import (
     symmetric6,
 )
 from viscodual.kernels import square_image
-from viscodual.rational import cbf_as_rational
+from viscodual.rational import cbf_as_rational, cbf_image
 
 
 def rate_set(rng, n, spread=3.0):
@@ -79,9 +80,9 @@ def random_matrix_relaxation(rng, n_max=4):
             newtonian=_random_coefficient(rng),
             equilibrium=_random_coefficient(rng),
             modes=modes)
-        if kernel.satisfies_positivity():
+        if cbf_image(kernel).definite:
             return kernel
-    raise RuntimeError("failed to draw a positive-definite coefficient sum")
+    raise RuntimeError("failed to draw a kernel that satisfies (*)")
 
 
 def random_matrix_creep(rng, n_max=4):
@@ -93,9 +94,9 @@ def random_matrix_creep(rng, n_max=4):
             instantaneous=_random_coefficient(rng),
             fluidity=_random_coefficient(rng),
             modes=modes)
-        if kernel.satisfies_positivity():
+        if cbf_image(kernel).definite:
             return kernel
-    raise RuntimeError("failed to draw a positive-definite coefficient sum")
+    raise RuntimeError("failed to draw a kernel that satisfies (*)")
 
 
 def _coefficients(kernel):

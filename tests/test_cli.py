@@ -8,6 +8,7 @@ import pytest
 
 import viscodual.cli
 from viscodual import (
+    MatrixRelaxation,
     ScalarCreep,
     ScalarRelaxation,
     check_limit_identities,
@@ -124,6 +125,14 @@ class TestCheckCommand:
     def test_two_relaxations_rejected(self, solid_file):
         assert run(["check", str(solid_file),
                     "--against", str(solid_file)]) == 1
+
+    def test_pair_of_different_sizes_rejected(self, solid_file, matrix_file,
+                                              tmp_path, capsys):
+        # a 6x6 relaxation kernel against a scalar creep kernel is no pair
+        dual = tmp_path / "dual.json"
+        assert run(["dualize", str(solid_file), "-o", str(dual)]) == 0
+        assert run(["check", str(matrix_file), "--against", str(dual)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_json_format(self, solid_file, capsys):
         assert run(["check", str(solid_file), "--format", "json"]) == 0
@@ -268,7 +277,13 @@ class TestRespondCommand:
         {"kind": "strain", "breakpoints": [1, 2]},
         {"kind": "strain", "breakpoints": [{"t": 0.0, "value": 0.0}],
          "initial_jump": "z"},
-    ], ids=["list", "number-breakpoints", "text-jump"])
+        {"kind": "strain", "breakpoints": [
+            {"t": 0.0, "value": 0.0}, {"t": 10 ** 400, "value": 1.0}]},
+        {"kind": "strain", "breakpoints": [
+            {"t": 0.0, "value": [0.0] * 5 + [10 ** 400]}]},
+        {"kind": "strain", "breakpoints": [{"t": False, "value": 0.0}]},
+    ], ids=["list", "number-breakpoints", "text-jump", "huge-time",
+            "huge-vector-value", "boolean-time"])
     def test_malformed_history_is_validation_error(self, solid_file, tmp_path,
                                                    doc, capsys):
         history = tmp_path / "bad.json"
@@ -324,6 +339,34 @@ class TestEigenstressCommand:
         assert run(["eigenstress", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_equilibrium_must_be_a_6x6_matrix(self, tmp_path, capsys):
+        # 36 numbers nested (6, 6, 1) are not a 6x6 matrix
+        path = tmp_path / "basis.json"
+        path.write_text(json.dumps({
+            "vectors": [[1, 0, 0, 0, 0, 0]],
+            "spectra": [[{"rate": 1.0, "coefficient": 0.5}]],
+            "equilibrium": [[[1.0]] * 6] * 6}))
+        assert run(["eigenstress", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: equilibrium must hold numbers\n")
+
+    @pytest.mark.parametrize("field", ["mass", "vector", "equilibrium"])
+    def test_integer_beyond_float_range_rejected(self, tmp_path, capsys,
+                                                 field):
+        doc = {"vectors": [[1, 0, 0, 0, 0, 0]],
+               "spectra": [[{"rate": 1.0, "coefficient": 0.5}]]}
+        huge = 10 ** 400
+        if field == "mass":
+            doc["mass"] = huge
+        elif field == "vector":
+            doc["vectors"][0][3] = huge
+        else:
+            doc["equilibrium"] = [huge] + [0] * 35
+        path = tmp_path / "basis.json"
+        path.write_text(json.dumps(doc))
+        assert run(["eigenstress", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestUsage:
     def test_no_command_is_usage_error(self):
@@ -371,3 +414,58 @@ def test_cli_import_leaves_scipy_out():
     code = "import sys, viscodual.cli; sys.exit('scipy' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
     assert done.returncode == 0
+
+
+def _exit_code_files():
+    """The documents of the process-level exit-code test, by file name."""
+    solid = ScalarRelaxation.make(equilibrium=1.0, modes=[(1.0, 1.0)])
+    gap = np.diag([1.0, 1, 1, 1, 1, 0])
+    w = np.random.default_rng(0).normal(size=(6, 6))
+    huge = 10 ** 400
+    return {
+        "solid.json": serialize_material(solid),
+        "creep.json": serialize_material(dualize(solid)),
+        "matrix.json": serialize_material(MatrixRelaxation.make(
+            equilibrium=np.eye(6), modes=[(1.0, 2.0 * np.eye(6))])),
+        # condition (*) fails: no coefficient acts on the last direction
+        "gap.json": serialize_material(MatrixRelaxation.make(
+            equilibrium=gap, modes=[(1.0, gap)])),
+        "huge.json": json.dumps({"kind": "relaxation", "dimension": "scalar",
+                                 "equilibrium": huge}),
+        "huge-history.json": json.dumps({"kind": "strain", "breakpoints": [
+            {"t": 0, "value": 0}, {"t": huge, "value": 1}]}),
+        "huge-basis.json": json.dumps({
+            "vectors": [[1, 0, 0, 0, 0, 0]],
+            "spectra": [[{"rate": 1.0, "coefficient": 0.5}]], "mass": huge}),
+        # a light mode next to a rest U(-1) singular on three directions
+        "singular-rest.json": serialize_material(MatrixRelaxation.make(
+            equilibrium=np.eye(6),
+            modes=[(1.0, 1e-18 * w @ w.T),
+                   (2.0, np.diag([1.0, 1, 1, 0.5, 0.5, 3.0]))])),
+    }
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["dualize", "solid.json"], 0),
+    (["dualize", "gap.json"], 1),
+    (["dualize", "huge.json"], 1),
+    (["respond", "solid.json", "huge-history.json"], 1),
+    (["eigenstress", "huge-basis.json"], 1),
+    (["check", "matrix.json", "--against", "creep.json"], 1),
+    (["dualize", "missing.json"], 2),
+    (["dualize", "singular-rest.json"], 3),
+], ids=["dualize", "condition-fails", "huge-material", "huge-history",
+        "huge-mass", "mixed-pair", "missing-file", "numeric-failure"])
+def test_process_exit_codes(tmp_path, argv, code):
+    # the interpreter running the command line ends with the documented
+    # exit code, and a failure writes one line to standard error, never a
+    # traceback
+    for name, text in _exit_code_files().items():
+        (tmp_path / name).write_text(text)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(viscodual.__file__)))
+    done = subprocess.run([sys.executable, "-m", "viscodual.cli", *argv],
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr
+    assert len(done.stderr.splitlines()) == (code != 0)

@@ -4,7 +4,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from viscodual import (
     InvalidKernel,
@@ -170,6 +170,23 @@ class TestMatrixDuality:
         with pytest.raises(InvalidKernel):
             dualize(c)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_positivity_violation_off_axis_rejected(self, seed):
+        # every coefficient, the Dirac part too, misses one direction off
+        # the axes: the block of Y + sum Z_k on the nullspace of X is then
+        # 1x1 and holds only rounding, of either sign, and must fail (*)
+        rotation = np.linalg.qr(
+            np.random.default_rng(seed).normal(size=(6, 6)))[0]
+        g = rotation @ np.diag([1.0, 1, 1, 1, 1, 0]) @ rotation.T
+        r = MatrixRelaxation.make(newtonian=g, equilibrium=g,
+                                  modes=[(1.0, g), (3.0, g)])
+        with pytest.raises(InvalidKernel, match=r"condition \(\*\)"):
+            dualize(r)
+        c = MatrixCreep.make(instantaneous=g, fluidity=g,
+                             modes=[(1.0, g), (3.0, g)])
+        with pytest.raises(InvalidKernel, match=r"condition \(\*\*\)"):
+            dualize(c)
+
     def test_dirac_relaxation_gives_zero_instantaneous(self):
         rng = np.random.default_rng(38)
         from kernel_corpus import random_gram
@@ -299,11 +316,32 @@ class TestMatrixDuality:
                 instantaneous=k.instantaneous,
                 fluidity=c * np.asarray(k.fluidity),
                 modes=[(c * r, c * np.asarray(h)) for r, h in k.modes])
-        assume(scaled.satisfies_positivity())
         poles = np.array([s for s, _ in dualize(k).modes])
         scaled_poles = np.array([s for s, _ in dualize(scaled).modes])
         assert scaled_poles.shape == poles.shape
         np.testing.assert_allclose(scaled_poles, c * poles, rtol=1e-9)
+
+    @pytest.mark.parametrize("c", [1e-12, 1e12, 1e-100, 1e100])
+    def test_time_unit_of_a_viscous_kernel(self, c):
+        # N is a viscosity (stress times time) and B, G_k are moduli, so in
+        # units where N dominates the sum N + B + sum G_k only by its time
+        # unit, condition (*) holds all the same, and the dual's poles scale
+        # with the time unit
+        w = np.random.default_rng(0).normal(size=(6, 6))
+        w = w @ w.T
+
+        def kernel(c):
+            return MatrixRelaxation.make(
+                newtonian=1e12 / c * np.diag([1.0, 1, 1, 0, 0, 0]),
+                equilibrium=np.eye(6),
+                modes=[(c * 1e-12, w), (c * 1e-11, w / 2)])
+
+        poles = np.array([s for s, _ in dualize(kernel(1.0)).modes])
+        scaled = kernel(c)
+        dual = dualize(scaled)
+        np.testing.assert_allclose([s for s, _ in dual.modes], c * poles,
+                                   rtol=1e-9)
+        assert _laplace_product_error(scaled, dual) <= 1e-14
 
     def test_dispatch_type_error(self):
         with pytest.raises(TypeError):

@@ -18,7 +18,8 @@ from viscodual import (
     symmetric6,
 )
 from viscodual.kernels import (
-    is_pd, is_psd, matrix_norm, max_rate, psd_flags)
+    is_psd, matrix_norm, max_rate, psd_flags)
+from viscodual.rational import cbf_image
 
 from kernel_corpus import random_gram
 
@@ -110,8 +111,8 @@ class TestPsdHelpers:
         assert is_psd(spd(3, rank=2))
 
     def test_is_pd_rejects_singular(self):
-        assert not is_pd(spd(4, rank=3))
-        assert is_pd(spd(4, rank=6))
+        _, pd, _ = psd_flags([spd(4, rank=3), spd(4, rank=6)])
+        assert pd.tolist() == [False, True]
 
     @pytest.mark.parametrize("shape", [(6, 6), (1, 6, 6), (10, 6, 6),
                                        (30, 1, 1), (0, 6, 6)])
@@ -276,12 +277,12 @@ class TestEigenstress:
 
 
 def test_positivity_condition_detects_gap():
-    # every coefficient misses the same direction -> sum is singular
+    # every coefficient misses the same direction -> condition (*) fails
     g = symmetric6(np.diag([1.0, 1, 1, 1, 1, 0.0]))
     k = MatrixRelaxation.make(equilibrium=g, modes=[(1.0, g)])
-    assert not k.satisfies_positivity()
+    assert not cbf_image(k).definite
     k2 = MatrixRelaxation.make(equilibrium=np.eye(6), modes=[(1.0, g)])
-    assert k2.satisfies_positivity()
+    assert cbf_image(k2).definite
 
 
 def test_random_gram_helper_is_psd():

@@ -103,6 +103,19 @@ class TestParse:
         path.write_text(text)
         assert run(["check", str(path)]) == 1
 
+    @pytest.mark.parametrize("dimension", ["scalar", "matrix6"])
+    def test_integer_beyond_float_range_rejected(self, dimension, tmp_path):
+        # a JSON integer has no bound, and float() overflows past 1.8e308
+        huge = 10 ** 400
+        value = huge if dimension == "scalar" else [huge] + [0.0] * 35
+        text = json.dumps({"kind": "relaxation", "dimension": dimension,
+                           "equilibrium": value, "modes": []})
+        with pytest.raises(MaterialFormatError, match="equilibrium"):
+            parse_material(text)
+        path = tmp_path / "kernel.json"
+        path.write_text(text)
+        assert run(["check", str(path)]) == 1
+
     def test_near_coincident_rates_warn(self):
         text = ('{"kind": "relaxation", "dimension": "scalar",'
                 ' "modes": [{"rate": 1.0, "weight": 1.0},'
